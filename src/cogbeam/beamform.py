@@ -1,21 +1,26 @@
 """Minimum-power beamformers, convolutional (dereverberating) and plain.
 
-All filters operate on one frequency bin at a time; bins are independent.
-Per-bin frames are complex (K, M) matrices with frames as rows. The
-convolutional variants jointly estimate a multichannel linear-prediction
-dereverberation filter G and a beamforming vector q by alternating updates
-driven by the time-varying output variance; the conventional variants solve
-the same constrained quadratic programs on the raw-signal covariance.
+Bins are independent, and all six beamformer types are one constrained
+minimum-power solve run on chunks of bins at once: a chunk is a stack of
+bins that share one prediction-filter length, held as (bins, K, M) frames,
+and every kernel works on the whole stack. The convolutional variants
+jointly estimate a multichannel linear-prediction dereverberation filter G
+and a beamforming vector q by alternating updates driven by the time-varying
+output variance; the conventional variants are the single-round case without
+prediction, on the unit-variance raw-signal covariance or a supplied noise
+covariance. Steering comes from masks or from the caller.
 
-Shapes used throughout:
+Shapes used throughout (per bin; stacks add a leading bin axis):
     spectrogram    (M, K, F) complex
     mask plane     (K, F) real in [0, 1]
+    frames         (K, M) complex, frames as rows
     stacked frames (K, M * (l_w - frame_delay + 1)): current frame first,
                    then frames delayed by frame_delay .. l_w - 1
     G              (M * (l_w - frame_delay), M)
     q, RETF        (M,)
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +50,12 @@ __all__ = [
 DEFAULT_FILTER_BANDS = ((0.0, 800.0, 20), (800.0, 1500.0, 16), (1500.0, None, 8))
 
 _COND_LIMIT = 1e12
+
+# Byte budget of one chunk's stacked observations. The solve holds about
+# three arrays of that size at once. One wMPDR `enhance` of a 2 s, 4-mic
+# scene with a 128-sample STFT peaks at 144 MiB with this budget, as the
+# per-bin solver did, and at 184 MiB unchunked.
+_CHUNK_BYTES = 4 << 20
 
 
 class DegenerateMaskError(ValueError):
@@ -124,6 +135,7 @@ class Diagnostics:
     objective: np.ndarray  # (iterations,) variance-weighted power proxy, bin sum
     objective_per_bin: np.ndarray  # (iterations, F), NaN where unavailable
     max_constraint_residual: float
+    constraint_residual_per_bin: np.ndarray  # (F,) max |C^H q - p|, NaN if passthrough
     failed_bins: list = field(default_factory=list)  # (bin, iteration, message)
 
 
@@ -134,36 +146,22 @@ class BeamformerOutput:
     diagnostics: Diagnostics
 
 
-class _BinIterationError(Exception):
-    """Internal: carries the iteration index of a failed per-bin solve."""
-
-    def __init__(self, iteration, cause):
-        super().__init__(str(cause))
-        self.iteration = iteration
-
-
-_CONTAINED = (
-    np.linalg.LinAlgError,
-    linalg.EigenConvergenceError,
-    DegenerateMaskError,
-    ConstraintRankError,
-)
+_CONTAINED = (np.linalg.LinAlgError, DegenerateMaskError, ConstraintRankError)
 
 
 def _stack_frames(y, frame_delay, l_w):
-    """(K, M) frames -> (K, M * (l_w - frame_delay + 1)) stacked observations.
+    """(..., K, M) frames -> (..., K, M * (l_w - frame_delay + 1)) stacked
+    observations.
 
     Column blocks hold the current frame followed by the frames delayed by
     ``frame_delay .. l_w - 1``; frames before the signal start are zero.
     """
-    k, m = y.shape
+    *lead, k, m = y.shape
     taps = [0] + list(range(frame_delay, l_w))
-    out = np.zeros((k, m * len(taps)), dtype=complex)
+    out = np.zeros((*lead, k, m * len(taps)), dtype=complex)
     for j, tau in enumerate(taps):
-        if tau == 0:
-            out[:, :m] = y
-        elif tau < k:
-            out[tau:, j * m : (j + 1) * m] = y[: k - tau]
+        if tau < k:
+            out[..., tau:, j * m : (j + 1) * m] = y[..., : k - tau, :]
     return out
 
 
@@ -175,155 +173,307 @@ def stack_observations(spec, bin_index, cfg, sample_rate=16000):
     return _stack_frames(spec[:, :, bin_index].T, cfg.frame_delay, l_w)
 
 
+def _hermitian_part(a):
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
 def weighted_correlations(stacked, lam, n_channels):
     """Variance-weighted sample correlations of stacked observations.
 
-    Returns ``(r_delay, p_cross, r_full)`` where ``r_full`` averages
+    ``stacked`` is (..., K, D) and ``lam`` (..., K). Returns
+    ``(r_delay, p_cross, r_full)`` where ``r_full`` averages
     ``stacked_k stacked_k^H / lam_k`` over frames, ``r_delay`` is its
     delayed-frames block and ``p_cross`` the delayed-to-current block.
     Hermitian parts are symmetrized.
     """
     stacked = np.asarray(stacked)
-    lam = np.asarray(lam, dtype=float)
-    k = stacked.shape[0]
-    r_full = (stacked / lam[:, None]).T @ stacked.conj() / k
-    r_full = 0.5 * (r_full + r_full.conj().T)
-    m = n_channels
-    return r_full[m:, m:], r_full[m:, :m], r_full
+    return _weighted_correlations(stacked, stacked.conj(), lam, n_channels)
+
+
+def _weighted_correlations(stacked, stacked_conj, lam, m):
+    """weighted_correlations with the conjugate supplied: the solve reuses
+    one conjugate of the stacked frames over all rounds."""
+    k = stacked.shape[-2]
+    # numpy divides complex by real as a product with the reciprocal; the
+    # explicit product gives the same bits at half the cost
+    scaled = stacked * (1.0 / np.asarray(lam, dtype=float))[..., None]
+    r_full = _hermitian_part(scaled.swapaxes(-1, -2) @ stacked_conj / k)
+    return r_full[..., m:, m:], r_full[..., m:, :m], r_full
 
 
 def dereverberate(stacked, derev):
     """Subtract the linear prediction from delayed frames: d_k = y_k - G^H y~_k."""
-    m = derev.shape[1]
-    return stacked[:, :m] - stacked[:, m:] @ derev.conj()
+    m = derev.shape[-1]
+    return stacked[..., :m] - stacked[..., m:] @ derev.conj()
 
 
-def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8, eig_tol=1e-10, eig_max_iter=200):
+def _first(values, bad):
+    """The first entry of ``values`` where ``bad`` holds, for messages."""
+    return np.ravel(values)[np.flatnonzero(bad)[0]]
+
+
+def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
     """Steering vector of the weighted source via covariance whitening.
 
-    Builds the weight-averaged covariance of the source (weights) and of
-    everything else (1 - weights), whitens, takes the dominant generalized
-    eigenvector, de-whitens, and normalizes the reference-microphone entry
-    to one. Raises DegenerateMaskError when either covariance is empty.
+    ``frames`` is (..., K, M) and ``weights`` (..., K). Builds the
+    weight-averaged covariance of the source (weights) and of everything
+    else (1 - weights), whitens, takes the dominant generalized eigenvector,
+    de-whitens, and normalizes the reference-microphone entry to one.
+    Raises DegenerateMaskError when either covariance of any bin is empty.
     """
     frames = np.asarray(frames)
     weights = np.asarray(weights, dtype=float)
-    k, m = frames.shape
-    w_sum = weights.sum()
-    c_sum = (1.0 - weights).sum()
-    if w_sum <= 0 or c_sum <= 0:
+    w_sum = weights.sum(axis=-1)
+    c_sum = (1.0 - weights).sum(axis=-1)
+    empty = (w_sum <= 0) | (c_sum <= 0)
+    if np.any(empty):
         raise DegenerateMaskError(
-            f"mask leaves no frames for one side (sum={w_sum:.3g}, complement={c_sum:.3g})"
+            f"mask leaves no frames for one side (sum={_first(w_sum, empty):.3g}, "
+            f"complement={_first(c_sum, empty):.3g})"
         )
-    cov_src = (frames * weights[:, None]).T @ frames.conj() / w_sum
-    cov_rest = (frames * (1.0 - weights)[:, None]).T @ frames.conj() / c_sum
-    cov_src = 0.5 * (cov_src + cov_src.conj().T)
-    cov_rest = 0.5 * (cov_rest + cov_rest.conj().T)
-    if not np.any(cov_src) or not np.any(cov_rest):
+    conj = frames.conj()
+    cov_src, cov_rest = (
+        _hermitian_part((frames * w[..., None]).swapaxes(-1, -2) @ conj / total[..., None, None])
+        for w, total in ((weights, w_sum), (1.0 - weights, c_sum))
+    )
+    if not (np.all(np.any(cov_src, axis=(-2, -1))) and np.all(np.any(cov_rest, axis=(-2, -1)))):
         raise DegenerateMaskError("weighted covariance is identically zero")
-    if ridge > 0:
-        cov_rest = cov_rest + (ridge * np.trace(cov_rest).real / m) * np.eye(m)
-    vec, _ = linalg.max_generalized_eigvec(cov_src, cov_rest, eig_tol, eig_max_iter)
-    steering = cov_rest @ vec
-    ref = steering[reference_mic]
-    if abs(ref) < 1e-12 * np.linalg.norm(steering):
-        raise DegenerateMaskError(
-            "steering vector vanishes at the reference microphone"
-        )
-    return steering / ref
+    cov_rest = linalg.loaded(cov_rest, ridge)
+    vec, _ = linalg.max_generalized_eigvec(cov_src, cov_rest)
+    steering = (cov_rest @ vec[..., None])[..., 0]
+    ref = steering[..., reference_mic]
+    if np.any(np.abs(ref) < 1e-12 * np.linalg.norm(steering, axis=-1)):
+        raise DegenerateMaskError("steering vector vanishes at the reference microphone")
+    return steering / ref[..., None]
 
 
 def _constrained_min_power(cov, constraints, response, ridge):
     """q = R^{-1} C (C^H R^{-1} C)^{-1} p, the minimum-power solution of
-    min q^H R q subject to C^H q = p."""
+    min q^H R q subject to C^H q = p, for stacks of (M, M) ``cov``, (M, C)
+    ``constraints`` and (C,) ``response``."""
     x = linalg.hermitian_solve(cov, constraints, ridge)
-    gram = constraints.conj().T @ x
+    gram = constraints.conj().swapaxes(-1, -2) @ x
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if np.any(bad):
         raise ConstraintRankError(
-            f"constraint set numerically rank-deficient (cond ~ {cond:.3g})"
+            f"constraint set numerically rank-deficient (cond ~ {_first(cond, bad):.3g})"
         )
-    return x @ np.linalg.solve(gram, response)
+    return (x @ np.linalg.solve(gram, response[..., None]))[..., 0]
 
 
 def wlcmp_solve(cov, constraints, response, ridge=1e-8):
     """Multi-constraint minimum-power weights for Hermitian PD ``cov``.
 
-    ``constraints`` is (M, C) with the target steering first, ``response``
-    the desired responses (1 for the target, the suppression levels for
-    interferers). Raises ConstraintRankError for near-parallel constraints.
+    ``constraints`` is (..., M, C) with the target steering first,
+    ``response`` the desired responses (1 for the target, the suppression
+    levels for interferers), broadcast against the leading axes. Raises
+    ConstraintRankError for near-parallel constraints.
     """
     constraints = np.asarray(constraints, dtype=complex)
-    if constraints.ndim != 2:
-        raise ValueError("constraints must be a 2-D matrix of column vectors")
-    response = np.asarray(response, dtype=complex).reshape(constraints.shape[1])
+    if constraints.ndim < 2:
+        raise ValueError("constraints must be a matrix of column vectors")
+    response = np.broadcast_to(
+        np.asarray(response, dtype=complex), constraints.shape[:-2] + constraints.shape[-1:]
+    )
     return _constrained_min_power(np.asarray(cov), constraints, response, ridge)
 
 
 def wmpdr_solve(cov, target_retf, ridge=1e-8):
     """Distortionless minimum-power weights: q = R^{-1}a / (a^H R^{-1} a)."""
     target_retf = np.asarray(target_retf, dtype=complex)
-    return wlcmp_solve(cov, target_retf[:, None], np.ones(1), ridge)
+    return wlcmp_solve(cov, target_retf[..., None], np.ones(1), ridge)
 
 
-def _interferer_constraints(target_retf, interferer_retfs, delta):
-    cols = [target_retf] + list(interferer_retfs)
-    deltas = np.broadcast_to(np.asarray(delta, dtype=float), (len(interferer_retfs),))
+def _constraint_set(target, interferers, delta):
+    """(..., M, 1 + U) constraints with the target first and their (..., 1 + U)
+    responses: 1 for the target, ``delta`` per interferer."""
+    if interferers is None:
+        return target[..., None], np.ones(target.shape[:-1] + (1,))
+    deltas = np.broadcast_to(np.asarray(delta, dtype=float), interferers.shape[-1:])
     response = np.concatenate([[1.0], deltas])
-    return np.column_stack(cols), response
+    constraints = np.concatenate([target[..., None], interferers], axis=-1)
+    return constraints, np.broadcast_to(response, target.shape[:-1] + response.shape)
 
 
-def _objective(z, lam):
-    mag_sq = np.abs(z) ** 2
-    return float(np.log(lam).sum() + (mag_sq / lam).sum())
+def _round(inputs, lam, cfg, delta):
+    """One round of the shared solve for a stack of bins.
+
+    ``inputs`` holds per-bin arrays with a leading bin axis: ``frames``;
+    when predicting, ``stacked`` and ``stacked_conj``; and the steering
+    source, either ``mask`` (plus optional ``interferer_masks`` (bins, U, K))
+    or ``steering`` and ``noise_cov`` (plus optional ``interferer_steering``
+    (bins, M, U)). Returns (z, G or None, q, constraints, response).
+    """
+    y = inputs["frames"]
+    m = y.shape[-1]
+    derev = None
+    d = y
+    if "stacked" in inputs:
+        stacked = inputs["stacked"]
+        r_delay, p_cross, _ = _weighted_correlations(stacked, inputs["stacked_conj"], lam, m)
+        derev = linalg.hermitian_solve(r_delay, p_cross, cfg.ridge)
+        d = y - stacked[..., m:] @ derev.conj()
+    if "noise_cov" in inputs:
+        cov, target = inputs["noise_cov"], inputs["steering"]
+        interferers = inputs.get("interferer_steering")
+    else:
+        cov = weighted_correlations(d, lam, m)[2]
+        target = estimate_retf(d, inputs["mask"], cfg.reference_mic, cfg.ridge)
+        interferers = None
+        if "interferer_masks" in inputs:
+            retfs = [
+                estimate_retf(d, im, cfg.reference_mic, cfg.ridge)
+                for im in inputs["interferer_masks"].swapaxes(0, 1)
+            ]
+            interferers = np.stack(retfs, axis=-1)
+    constraints, response = _constraint_set(target, interferers, delta)
+    weights = _constrained_min_power(cov, constraints, response, cfg.ridge)
+    z = (d @ weights.conj()[..., None])[..., 0]
+    return z, derev, weights, constraints, response
 
 
-def _conv_bin(y, target_mask, interferer_masks, cfg, l_w, constrained):
-    """One bin of the convolutional beamformer. Returns
-    (z, state, per-iteration objective, constraint residual)."""
-    k, m = y.shape
-    frame_power = (np.abs(y) ** 2).sum(axis=1)
-    floor = max(cfg.lambda_floor * frame_power.mean(), np.finfo(float).tiny)
-    lam = np.maximum(frame_power, floor)
-    stacked = _stack_frames(y, cfg.frame_delay, l_w)
-    delayed = stacked[:, m:]
+def _solve_chunk(inputs, cfg, rounds, delta):
+    """Run the shared solve on one chunk, containing failures per bin.
 
-    objective = np.full(cfg.iterations, np.nan)
-    z = derev = weights = target = None
-    constraints = response = None
-    for it in range(cfg.iterations):
+    A round that raises for the chunk is repeated bin by bin: the bins that
+    raise again are dropped with their (local bin, round, message) record,
+    the others keep the results of their single-bin run, which are the
+    values the chunk run computes for them. Returns (surviving local bins,
+    their final-round outputs, (rounds, bins) objective, failures).
+    """
+    y = inputs["frames"]
+    n_bins = y.shape[0]
+    alive = np.arange(n_bins)
+    objective = np.full((rounds, n_bins), np.nan)
+    failures = []
+    weighted = "stacked" in inputs
+    if weighted:
+        frame_power = (np.abs(y) ** 2).sum(axis=-1)
+        floor = np.maximum(cfg.lambda_floor * frame_power.mean(axis=-1), np.finfo(float).tiny)
+        lam = np.maximum(frame_power, floor[:, None])
+    else:
+        lam = np.ones(y.shape[:-1])
+    for it in range(rounds):
+        sub = inputs if alive.size == n_bins else {k: v[alive] for k, v in inputs.items()}
         try:
-            r_delay, p_cross, _ = weighted_correlations(stacked, lam, m)
-            derev = linalg.hermitian_solve(r_delay, p_cross, cfg.ridge)
-            d = y - delayed @ derev.conj()
-            _, _, r_d = weighted_correlations(d, lam, m)
-            target = estimate_retf(d, target_mask, cfg.reference_mic, cfg.ridge)
-            if constrained and interferer_masks:
-                retfs = [
-                    estimate_retf(d, im, cfg.reference_mic, cfg.ridge)
-                    for im in interferer_masks
-                ]
-                constraints, response = _interferer_constraints(target, retfs, cfg.delta)
-            else:
-                constraints = target[:, None]
-                response = np.ones(1)
-            weights = _constrained_min_power(r_d, constraints, response, cfg.ridge)
-            z = d @ weights.conj()
-            lam = np.maximum(np.abs(z) ** 2, floor)
-            objective[it] = _objective(z, lam)
-        except _CONTAINED as exc:
-            raise _BinIterationError(it, exc) from exc
+            out = _round(sub, lam[alive], cfg, delta)
+        except _CONTAINED:
+            parts, keep = [], []
+            for b in alive:
+                try:
+                    single = {k: v[[b]] for k, v in inputs.items()}
+                    parts.append(_round(single, lam[[b]], cfg, delta))
+                    keep.append(b)
+                except _CONTAINED as exc:
+                    failures.append((b, it, str(exc)))
+            alive = np.array(keep, dtype=int)
+            if not keep:
+                return alive, None, objective, failures
+            out = tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+        if weighted:
+            power = np.abs(out[0]) ** 2
+            lam[alive] = np.maximum(power, floor[alive, None])
+            log_term = np.log(lam[alive]).sum(axis=-1)
+            objective[it, alive] = log_term + (power / lam[alive]).sum(axis=-1)
+    finite = np.all(np.isfinite(out[0]), axis=-1)
+    failures += [(b, rounds - 1, "non-finite output") for b in alive[~finite]]
+    return alive[finite], [None if a is None else a[finite] for a in out], objective, failures
 
-    residual = float(np.max(np.abs(constraints.conj().T @ weights - response)))
-    interferers = constraints[:, 1:] if constraints.shape[1] > 1 else None
-    state = BinState(l_w, derev, weights, target, interferers)
-    return z, state, objective, residual
+
+def _chunks(keys, bytes_per_bin):
+    """Runs of consecutive bins with equal key (None: not solved), each cut
+    into chunks whose stacked observations fit ``_CHUNK_BYTES``."""
+    for key, group in itertools.groupby(range(len(keys)), keys.__getitem__):
+        if key is None:
+            continue
+        bins = np.fromiter(group, dtype=int)
+        per = max(1, _CHUNK_BYTES // bytes_per_bin(key))
+        for lo in range(0, bins.size, per):
+            yield key, bins[lo : lo + per]
+
+
+def _chunk_frames(spec, bins, cfg, l_w):
+    """(bins, K, M) frames of the given bins of an (M, K, F) spectrogram and
+    their stacked observations (None without a prediction filter, l_w 0)."""
+    frames = np.ascontiguousarray(spec[:, :, bins].transpose(2, 1, 0))
+    return frames, _stack_frames(frames, cfg.frame_delay, l_w) if l_w else None
 
 
 def _passthrough_state(m, l_w, reference_mic):
     weights = np.zeros(m, dtype=complex)
     weights[reference_mic] = 1.0
     return BinState(l_w, None, weights, None, None, passthrough=True)
+
+
+def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
+    """The shared constrained minimum-power solve over all bins.
+
+    ``per_bin`` maps the steering inputs of ``_round`` to arrays with a
+    leading (F,) bin axis. ``convolutional`` adds the prediction filter and
+    ``cfg.iterations`` rounds of variance reweighting; otherwise one round
+    runs on unit variances. Bins whose solve fails fall back to a
+    reference-microphone passthrough.
+    """
+    m, k, f = spec.shape
+    rounds = cfg.iterations if convolutional else 1
+    # filter length per bin; 0: no prediction filter
+    taps = [0] * f
+    if convolutional:
+        taps = [cfg.filter_length(fi * sample_rate / (2 * f - 2)) for fi in range(f)]
+    # without supplied steering, all-zero bins pass through unrecorded
+    solvable = np.any(spec, axis=(0, 1)) if "mask" in per_bin else np.ones(f, bool)
+    keys = [t if ok else None for t, ok in zip(taps, solvable)]
+
+    z = spec[cfg.reference_mic].astype(complex)
+    states = [_passthrough_state(m, t or 1, cfg.reference_mic) for t in taps]
+    objective_per_bin = np.full((rounds if convolutional else 0, f), np.nan)
+    residuals = np.full(f, np.nan)
+    failures = []
+    for l_w, bins in _chunks(keys, lambda l_w: _bin_bytes(k, m, l_w, cfg)):
+        inputs = {name: values[bins] for name, values in per_bin.items()}
+        inputs["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w)
+        if stacked is not None:
+            inputs["stacked"], inputs["stacked_conj"] = stacked, stacked.conj()
+        alive, out, objective, chunk_failures = _solve_chunk(inputs, cfg, rounds, delta)
+        failures += [(int(bins[b]), it, msg) for b, it, msg in chunk_failures]
+        if out is None:
+            continue
+        solved = bins[alive]
+        z_c, derev, weights, constraints, response = out
+        z[:, solved] = z_c.T
+        if convolutional:
+            objective_per_bin[:, solved] = objective[:, alive]
+        gain = (constraints.conj().swapaxes(-1, -2) @ weights[..., None])[..., 0]
+        residuals[solved] = np.max(np.abs(gain - response), axis=-1)
+        for j, fi in enumerate(solved):
+            interferers = constraints[j, :, 1:] if constraints.shape[-1] > 1 else None
+            derev_j = None if derev is None else derev[j]
+            states[fi] = BinState(l_w or 1, derev_j, weights[j], constraints[j, :, 0], interferers)
+
+    diagnostics = Diagnostics(
+        objective=np.nansum(objective_per_bin, axis=1),
+        objective_per_bin=objective_per_bin,
+        max_constraint_residual=float(np.nanmax(residuals, initial=0.0)),
+        constraint_residual_per_bin=residuals,
+        failed_bins=sorted(failures),
+    )
+    return BeamformerOutput(z, states, diagnostics)
+
+
+def _bin_bytes(k, m, l_w, cfg):
+    """Bytes of one bin's stacked observations (l_w 0: no prediction filter)."""
+    return 16 * k * m * (l_w - cfg.frame_delay + 1 if l_w else 1)
+
+
+def _mask_inputs(target_mask, interferer_masks):
+    """The mask inputs of ``_round`` with a leading bin axis. ``interferer_masks``
+    is a list, empty for the target-only constraint set."""
+    per_bin = {"mask": np.asarray(target_mask, dtype=float).T}
+    if interferer_masks:
+        masks = [np.asarray(im, dtype=float).T for im in interferer_masks]
+        per_bin["interferer_masks"] = np.stack(masks, axis=1)
+    return per_bin
 
 
 def run_conv_beamformer(
@@ -341,124 +491,24 @@ def run_conv_beamformer(
     if mode not in ("wmpdr", "wlcmp"):
         raise ValueError(f"unknown mode {mode!r}")
     spec = np.asarray(spec)
-    m_ch, k, f = spec.shape
-    target_mask = np.asarray(target_mask, dtype=float)
-    if target_mask.shape != (k, f):
+    _, k, f = spec.shape
+    if np.shape(target_mask) != (k, f):
         raise ValueError(
-            f"target mask shape {target_mask.shape} does not match frames/bins {(k, f)}"
+            f"target mask shape {np.shape(target_mask)} does not match frames/bins {(k, f)}"
         )
-    if interferer_masks is not None:
-        interferer_masks = [np.asarray(im, dtype=float) for im in interferer_masks]
-        for im in interferer_masks:
-            if im.shape != (k, f):
-                raise ValueError("interferer mask shape mismatch")
-    use_constraints = mode == "wlcmp"
-
-    n_fft = 2 * (f - 1)
-    z = np.zeros((k, f), dtype=complex)
-    states = []
-    objective_per_bin = np.full((cfg.iterations, f), np.nan)
-    residuals = []
-    failures = []
-    for fi in range(f):
-        y = spec[:, :, fi].T
-        l_w = cfg.filter_length(fi * sample_rate / n_fft)
-        if not np.any(y):
-            states.append(_passthrough_state(m_ch, l_w, cfg.reference_mic))
-            continue
-        i_masks = (
-            [im[:, fi] for im in interferer_masks] if interferer_masks else None
-        )
-        try:
-            z_bin, state, objective, residual = _conv_bin(
-                y, target_mask[:, fi], i_masks, cfg, l_w, use_constraints
-            )
-            if not np.all(np.isfinite(z_bin)):
-                raise _BinIterationError(cfg.iterations - 1, "non-finite output")
-        except _BinIterationError as err:
-            failures.append((fi, err.iteration, str(err)))
-            states.append(_passthrough_state(m_ch, l_w, cfg.reference_mic))
-            z[:, fi] = y[:, cfg.reference_mic]
-            continue
-        z[:, fi] = z_bin
-        states.append(state)
-        objective_per_bin[:, fi] = objective
-        residuals.append(residual)
-
-    diagnostics = Diagnostics(
-        objective=np.nansum(objective_per_bin, axis=1),
-        objective_per_bin=objective_per_bin,
-        max_constraint_residual=max(residuals) if residuals else 0.0,
-        failed_bins=failures,
-    )
-    return BeamformerOutput(z, states, diagnostics)
-
-
-def _conventional(spec, target_mask, interferer_masks, delta, cfg, noise_cov=None, steering=None, interferer_steering=None):
-    """Shared core of the conventional beamformers: one constrained solve per
-    bin on either the raw-signal covariance or a supplied noise covariance."""
-    cfg = cfg or ConvBeamformerConfig()
-    spec = np.asarray(spec)
-    m_ch, k, f = spec.shape
-    z = np.zeros((k, f), dtype=complex)
-    states = []
-    residuals = []
-    failures = []
-    for fi in range(f):
-        y = spec[:, :, fi].T
-        if not np.any(y) and steering is None:
-            states.append(_passthrough_state(m_ch, 1, cfg.reference_mic))
-            continue
-        try:
-            if steering is None:
-                cov = y.T @ y.conj() / k
-                cov = 0.5 * (cov + cov.conj().T)
-                target = estimate_retf(
-                    y, target_mask[:, fi], cfg.reference_mic, cfg.ridge
-                )
-                if interferer_masks is not None:
-                    retfs = [
-                        estimate_retf(y, im[:, fi], cfg.reference_mic, cfg.ridge)
-                        for im in interferer_masks
-                    ]
-                    constraints, response = _interferer_constraints(target, retfs, delta)
-                else:
-                    constraints, response = target[:, None], np.ones(1)
-            else:
-                cov = noise_cov[fi]
-                target = steering[fi]
-                if interferer_steering is not None:
-                    constraints, response = _interferer_constraints(
-                        target, list(interferer_steering[fi].T), delta
-                    )
-                else:
-                    constraints, response = target[:, None], np.ones(1)
-            weights = _constrained_min_power(cov, constraints, response, cfg.ridge)
-        except _CONTAINED as exc:
-            failures.append((fi, 0, str(exc)))
-            states.append(_passthrough_state(m_ch, 1, cfg.reference_mic))
-            z[:, fi] = y[:, cfg.reference_mic]
-            continue
-        z[:, fi] = y @ weights.conj()
-        interferers = constraints[:, 1:] if constraints.shape[1] > 1 else None
-        states.append(BinState(1, None, weights, target, interferers))
-        residuals.append(float(np.max(np.abs(constraints.conj().T @ weights - response))))
-
-    diagnostics = Diagnostics(
-        objective=np.zeros(0),
-        objective_per_bin=np.zeros((0, f)),
-        max_constraint_residual=max(residuals) if residuals else 0.0,
-        failed_bins=failures,
-    )
-    return BeamformerOutput(z, states, diagnostics)
+    interferer_masks = [] if interferer_masks is None else list(interferer_masks)
+    if any(np.shape(im) != (k, f) for im in interferer_masks):
+        raise ValueError("interferer mask shape mismatch")
+    per_bin = _mask_inputs(target_mask, interferer_masks if mode == "wlcmp" else [])
+    return _beamform(spec, cfg, per_bin, cfg.delta, True, sample_rate)
 
 
 def mpdr(spec, target_mask, cfg=None):
     """Conventional distortionless minimum-power beamformer on the raw-signal
     covariance, steered by a covariance-whitening estimate from the raw
     frames. Non-iterative."""
-    target_mask = np.asarray(target_mask, dtype=float)
-    return _conventional(spec, target_mask, None, None, cfg)
+    cfg = cfg or ConvBeamformerConfig()
+    return _beamform(np.asarray(spec), cfg, _mask_inputs(target_mask, []), None, False)
 
 
 def lcmp(spec, target_mask, interferer_masks, delta=None, cfg=None):
@@ -467,32 +517,24 @@ def lcmp(spec, target_mask, interferer_masks, delta=None, cfg=None):
     cfg = cfg or ConvBeamformerConfig()
     if delta is None:
         delta = cfg.delta
-    target_mask = np.asarray(target_mask, dtype=float)
-    interferer_masks = [np.asarray(im, dtype=float) for im in interferer_masks]
-    return _conventional(spec, target_mask, interferer_masks, delta, cfg)
+    per_bin = _mask_inputs(target_mask, list(interferer_masks))
+    return _beamform(np.asarray(spec), cfg, per_bin, delta, False)
 
 
 def mvdr_lcmv(spec, steering, noise_cov, delta=None, interferer_steering=None, cfg=None):
     """Minimum-variance beamformer with caller-supplied steering vectors and
     per-bin noise covariance; with ``delta`` and interferer steering it
     becomes the constrained variant."""
-    steering = np.asarray(steering, dtype=complex)
-    noise_cov = np.asarray(noise_cov, dtype=complex)
+    cfg = cfg or ConvBeamformerConfig()
+    per_bin = {
+        "steering": np.asarray(steering, dtype=complex),
+        "noise_cov": np.asarray(noise_cov, dtype=complex),
+    }
     if interferer_steering is not None:
-        interferer_steering = np.asarray(interferer_steering, dtype=complex)
+        per_bin["interferer_steering"] = np.asarray(interferer_steering, dtype=complex)
         if delta is None:
-            cfg_ = cfg or ConvBeamformerConfig()
-            delta = cfg_.delta
-    return _conventional(
-        spec,
-        None,
-        None,
-        delta,
-        cfg,
-        noise_cov=noise_cov,
-        steering=steering,
-        interferer_steering=interferer_steering,
-    )
+            delta = cfg.delta
+    return _beamform(np.asarray(spec), cfg, per_bin, delta, False)
 
 
 def apply_bin_filters(states, spec, cfg=None):
@@ -503,16 +545,15 @@ def apply_bin_filters(states, spec, cfg=None):
     """
     cfg = cfg or ConvBeamformerConfig()
     spec = np.asarray(spec)
-    m_ch, k, f = spec.shape
+    m, k, f = spec.shape
     if len(states) != f:
         raise ValueError(f"{len(states)} states for {f} bins")
-    z = np.zeros((k, f), dtype=complex)
-    for fi, state in enumerate(states):
-        y = spec[:, :, fi].T
-        if state.derev is None:
-            z[:, fi] = y @ state.weights.conj()
-        else:
-            stacked = _stack_frames(y, cfg.frame_delay, state.filter_taps)
-            d = stacked[:, :m_ch] - stacked[:, m_ch:] @ state.derev.conj()
-            z[:, fi] = d @ state.weights.conj()
+    keys = [0 if s.derev is None else s.filter_taps for s in states]
+    z = np.empty((k, f), dtype=complex)
+    for l_w, bins in _chunks(keys, lambda l_w: _bin_bytes(k, m, l_w, cfg)):
+        d, stacked = _chunk_frames(spec, bins, cfg, l_w)
+        if stacked is not None:
+            d = dereverberate(stacked, np.stack([states[fi].derev for fi in bins]))
+        weights = np.stack([states[fi].weights for fi in bins])
+        z[:, bins] = (d @ weights.conj()[..., None])[..., 0].T
     return z

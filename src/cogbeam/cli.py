@@ -9,7 +9,7 @@ also be driven by externally produced files.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ class SceneConfig:
     condition: str = "reverberant-noisy"
     n_speakers: int = 2
     n_mics: int = 4
-    duration_s: float = 30.0
+    duration_s: float = 60.0
     t60_s: float | None = None  # None: taken from the condition preset
     target_input_fwssnr_db: float | None = None
     noise_gain: float = 1.0  # used only when no fwSSNR target applies
@@ -111,6 +111,14 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    known = {f.name for f in fields(PipelineConfig)}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown top-level config key(s) {unknown}; allowed keys are {sorted(known)}"
+        )
     if "seed" not in raw:
         raise ConfigError("config must set an explicit seed")
     cfg = PipelineConfig(
@@ -138,12 +146,27 @@ def load_config(path):
             raise ConfigError(f"mask file not found: {cfg.masks.path}")
     if cfg.aad.mode not in ("synth", "file"):
         raise ConfigError("aad.mode must be 'synth' or 'file'")
+    if cfg.aad.trial_seconds <= 0:
+        raise ConfigError("aad.trial_seconds must be positive")
     if cfg.aad.mode == "file":
         for key in ("eeg_path", "labels_path"):
             p = getattr(cfg.aad, key)
             if not p or not Path(p).exists():
                 raise ConfigError(f"aad.{key} not found: {p}")
     return cfg
+
+
+def _check_trial_count(cfg):
+    """Leave-one-out decoding of synthetic EEG trains on the other trials, so
+    the scene must hold at least two. Checked when enhance or decode starts,
+    not at load time, because a shorter scene still simulates."""
+    if cfg.aad.mode == "synth" and cfg.scene.duration_s / cfg.aad.trial_seconds < 2:
+        raise ConfigError(
+            f"scene.duration_s {cfg.scene.duration_s:g} holds fewer than two "
+            f"aad.trial_seconds {cfg.aad.trial_seconds:g} trials, and leave-one-out "
+            "decoding trains on the other trials: make duration_s at least twice "
+            "trial_seconds"
+        )
 
 
 def write_wav(path, signal, sample_rate, bits=32):
@@ -329,18 +352,16 @@ def _anechoic_steering(anechoic_irs, cfg, speaker, reference_mic):
 
 
 def _noise_covariance(rendered, cfg):
+    """Per-bin noise covariance from the stored noise component: (bins, mics, mics)."""
     noise_spec = stft.analyze(rendered.noise, cfg.stft)
-    m, k, f = noise_spec.shape
-    cov = np.empty((f, m, m), dtype=complex)
-    for fi in range(f):
-        y = noise_spec[:, :, fi].T
-        c = y.T @ y.conj() / k
-        cov[fi] = 0.5 * (c + c.conj().T)
-    return cov
+    frames = noise_spec.transpose(2, 1, 0)  # (bins, frames, mics)
+    cov = frames.swapaxes(-1, -2) @ frames.conj() / frames.shape[1]
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
 def cmd_enhance(cfg, scene_dir, out_dir):
     """Run the configured beamformer once per speaker; write WAV outputs."""
+    _check_trial_count(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rendered, meta = _load_scene_dir(scene_dir)
@@ -354,7 +375,7 @@ def cmd_enhance(cfg, scene_dir, out_dir):
     diag_all = {}
     for i in range(n_speakers):
         bf_cfg = beamform.ConvBeamformerConfig(
-            **{**_cfg_dict(cfg.beamformer), "reference_mic": ref_mics[i]}
+            **{**asdict(cfg.beamformer), "reference_mic": ref_mics[i]}
         )
         target = mask_set[i]
         others = [mask_set[j] for j in range(n_speakers) if j != i]
@@ -389,11 +410,15 @@ def cmd_enhance(cfg, scene_dir, out_dir):
             )
         signal = stft.synthesize(result.z[None], cfg.stft)[0]
         write_wav(out / f"speaker{i}.wav", signal, fs)
+        diag = result.diagnostics
         diag_all[f"speaker{i}"] = {
             "beamformer": kind,
-            "max_constraint_residual": result.diagnostics.max_constraint_residual,
-            "failed_bins": len(result.diagnostics.failed_bins),
-            "objective": [float(v) for v in result.diagnostics.objective],
+            "max_constraint_residual": diag.max_constraint_residual,
+            "failed_bins": len(diag.failed_bins),
+            "failed_bin_list": [list(failure) for failure in diag.failed_bins],
+            "constraint_residual_per_bin": _json_floats(diag.constraint_residual_per_bin),
+            "objective": _json_floats(diag.objective),
+            "objective_per_bin": _json_floats(diag.objective_per_bin),
         }
     (out / "diagnostics.json").write_text(
         json.dumps(diag_all, indent=2, sort_keys=True)
@@ -401,9 +426,11 @@ def cmd_enhance(cfg, scene_dir, out_dir):
     return diag_all
 
 
-def _cfg_dict(dc):
-    d = asdict(dc)
-    return d
+def _json_floats(values):
+    """(Nested) lists of floats, NaN (a bin with no value) written as null."""
+    if np.ndim(values) > 1:
+        return [_json_floats(row) for row in values]
+    return [None if np.isnan(v) else float(v) for v in values]
 
 
 def _trial_spans(n_samples, fs, trial_seconds):
@@ -412,7 +439,8 @@ def _trial_spans(n_samples, fs, trial_seconds):
 
 
 def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
-    """Per 30 s trial: envelopes, reconstruction, speaker selection."""
+    """Per trial: envelopes, reconstruction, speaker selection."""
+    _check_trial_count(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rendered, meta = _load_scene_dir(scene_dir)
@@ -522,6 +550,7 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
 
     trial_rows = []
     outcomes = []
+    oracle_outcomes = []
     oracle_delta = []
     est_delta = []
     for rec in records:
@@ -541,14 +570,9 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
             for i in range(n_speakers)
         ]
         selected = rec["selected"]
-        discarded = [i for i in range(n_speakers) if i != selected][0]
-        outcome = metrics.DecodeOutcome(
-            scores[selected] > scores[discarded],
-            scores[selected] == scores[discarded],
-            scores[selected],
-            scores[discarded],
-        )
+        outcome = metrics.selection_outcome(scores, selected)
         outcomes.append(outcome)
+        oracle_outcomes.append(metrics.selection_outcome(scores, attended))
         est_delta.append(scores[selected] - input_db)
         oracle_delta.append(max(scores) - input_db)
         trial_rows.append(
@@ -574,7 +598,7 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
         "delta_fwssnr_est_aad_db": float(np.mean(est_delta)),
         "delta_fwssnr_oracle_aad_db": float(np.mean(oracle_delta)),
         "aad_accuracy_pct": metrics.aad_accuracy(outcomes),
-        "oracle_aad_accuracy_pct": 100.0,
+        "oracle_aad_accuracy_pct": metrics.aad_accuracy(oracle_outcomes),
         "chance_upper_bound_pct": metrics.chance_upper_bound(n_trials),
         "published_chance_bounds_pct": metrics.PUBLISHED_CHANCE_BOUND_PCT,
         "trials": trial_rows,

@@ -1,23 +1,25 @@
 """Complex Hermitian linear-algebra kernels shared by all beamformers.
 
-Matrices here are small (number of microphones, or microphones times
-prediction taps), so the solvers favour robustness and determinism over
-asymptotic speed.
+Every kernel works on stacks of small matrices (number of microphones, or
+microphones times prediction taps) with any leading batch axes, so the
+beamformers solve all bins of a frequency band in one call; a single matrix
+is a batch with no leading axes. Each kernel raises if any matrix of the
+batch fails; callers that must contain failures per bin retry the bins one
+at a time.
 
-These kernels run once per frequency bin and reweighting round, between
-numpy's own covariance products, so they use numpy's LAPACK only. numpy and
-scipy each bundle a separate OpenBLAS with its own thread pool; alternating
-tiny calls between the two makes the idle pool's spinning threads starve the
-busy one, and under default threading on a 2-core machine that cost about
-10x (2000 complex 1000x68 products interleaved with scipy 4x4 triangular
-solves: 22.5 s, against 2.4 s with the same solves done by numpy).
+The kernels run between numpy's own covariance products, so they use
+numpy's LAPACK only. numpy and scipy each bundle a separate OpenBLAS with
+its own thread pool; alternating tiny calls between the two makes the idle
+pool's spinning threads starve the busy one, and under default threading on
+a 2-core machine that cost about 10x (2000 complex 1000x68 products
+interleaved with scipy 4x4 triangular solves: 22.5 s, against 2.4 s with the
+same solves done by numpy).
 """
 
 import numpy as np
 
 __all__ = [
     "SingularMatrixError",
-    "EigenConvergenceError",
     "hermitian_solve",
     "max_generalized_eigvec",
 ]
@@ -27,18 +29,16 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Coefficient matrix numerically singular even after diagonal loading."""
 
 
-class EigenConvergenceError(RuntimeError):
-    """Power iteration did not reach tolerance within the iteration cap."""
-
-
-def _loaded(a, ridge):
-    """Apply scale-invariant diagonal loading ``a + ridge*trace(a)/dim*I``."""
+def loaded(a, ridge):
+    """Apply scale-invariant diagonal loading ``a + ridge*trace(a)/dim*I`` to
+    each matrix of the stack ``a`` (..., dim, dim)."""
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     if ridge == 0:
         return a
-    dim = a.shape[0]
-    return a + (ridge * np.trace(a).real / dim) * np.eye(dim, dtype=a.dtype)
+    dim = a.shape[-1]
+    load = ridge * np.trace(a, axis1=-2, axis2=-1).real / dim
+    return a + load[..., None, None] * np.eye(dim, dtype=a.dtype)
 
 
 def hermitian_solve(a, b, ridge=0.0):
@@ -46,8 +46,9 @@ def hermitian_solve(a, b, ridge=0.0):
 
     Parameters
     ----------
-    a : (n, n) complex ndarray, Hermitian
-    b : (n,) or (n, m) complex ndarray
+    a : (..., n, n) complex ndarray, Hermitian
+    b : (..., n) or (..., n, m) complex ndarray; one dimension fewer than
+        ``a`` means one right-hand-side vector per matrix
     ridge : float
         Diagonal loading relative to the mean diagonal magnitude, so the
         regularization is invariant to a rescaling of ``a``.
@@ -55,106 +56,61 @@ def hermitian_solve(a, b, ridge=0.0):
     Raises
     ------
     SingularMatrixError
-        If the loaded matrix is still numerically singular. No further
+        If any loaded matrix is still numerically singular. No further
         regularization is attempted silently.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
-    a = _loaded(a, ridge)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    a = loaded(a, ridge)
+    vector = b.ndim == a.ndim - 1
     try:
-        return np.linalg.solve(a, b)
+        x = np.linalg.solve(a, b[..., None] if vector else b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
-            f"{a.shape[0]}x{a.shape[1]} Hermitian system is singular "
+            f"{a.shape[-2]}x{a.shape[-1]} Hermitian system is singular "
             f"(ridge={ridge})"
         ) from exc
+    return x[..., 0] if vector else x
 
 
-def max_generalized_eigvec(a, b, tol=1e-10, max_iter=200):
+def max_generalized_eigvec(a, b):
     """Dominant eigenvector of ``B^{-1} A`` for Hermitian A and PD B.
 
-    Runs power iteration on the whitened matrix ``L^{-1} A L^{-H}`` where
-    ``B = L L^H``, with a ``trace/dim`` spectral shift so that for positive
-    semidefinite ``a`` the iteration converges to the eigenvalue of largest
-    (real) value. The starting vector is the first canonical basis vector,
-    which makes repeated calls on identical inputs bit-identical.
+    Whitens with the Cholesky factor ``B = L L^H``, takes the eigenvector of
+    the largest eigenvalue of ``L^{-1} A L^{-H}`` from ``np.linalg.eigh`` and
+    de-whitens. Works on stacks (..., n, n).
 
     Returns
     -------
-    v : (n,) complex ndarray
-        Unit-norm eigenvector, phase-fixed so its first nonzero entry is
-        real positive.
-    value : float
-        Rayleigh quotient ``(v^H A v) / (v^H B v)``.
+    v : (..., n) complex ndarray
+        Unit-norm eigenvector, phase-fixed so its first entry that is not
+        negligible (above 1e-12 of the largest magnitude) is real positive.
+    value : (...) float ndarray
+        The largest generalized eigenvalue ``(v^H A v) / (v^H B v)``.
 
     Raises
     ------
     np.linalg.LinAlgError
-        If ``b`` is not positive-definite (Cholesky failure).
-    EigenConvergenceError
-        If the iterate still moves by more than ``tol`` after ``max_iter``
-        iterations.
+        If any ``b`` is not positive-definite (Cholesky failure).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
-    n = a.shape[0]
+    n = a.shape[-1]
     chol = np.linalg.cholesky(b)
-    inv_chol = np.linalg.solve(chol, np.eye(n, dtype=complex))
-    whitened = inv_chol @ a @ inv_chol.conj().T
-    whitened = 0.5 * (whitened + whitened.conj().T)
+    inv_chol = np.linalg.solve(chol, np.broadcast_to(np.eye(n, dtype=complex), chol.shape))
+    inv_chol_h = inv_chol.conj().swapaxes(-1, -2)
+    whitened = inv_chol @ a @ inv_chol_h
+    whitened = 0.5 * (whitened + whitened.conj().swapaxes(-1, -2))
+    values, vectors = np.linalg.eigh(whitened)
 
-    u = np.zeros(n, dtype=complex)
-    u[0] = 1.0
-    if not np.any(whitened):
-        value = 0.0
-        converged = True
-    else:
-        # Shift keeps the dominant-magnitude eigenvalue equal to the largest
-        # signed eigenvalue for PSD input without changing eigenvectors.
-        shift = float(np.trace(whitened).real) / n
-        shifted = whitened + shift * np.eye(n)
-        converged = False
-        for _ in range(max_iter):
-            w = shifted @ u
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                # u is in the nullspace of the shifted matrix: accept it.
-                converged = True
-                break
-            w /= norm
-            overlap = np.vdot(u, w)
-            if abs(overlap) > 0:
-                w *= overlap.conjugate() / abs(overlap)
-            delta = np.linalg.norm(w - u)
-            u = w
-            if delta <= tol:
-                converged = True
-                break
-            # Square the (renormalized) iteration matrix so the next step
-            # applies a doubled power: the eigenvalue gap amplifies
-            # quadratically per iteration and even near-degenerate spectra
-            # settle far inside the iteration cap. Frobenius renormalization
-            # keeps the dominant eigenvalue in [1/sqrt(n), 1], so repeated
-            # squaring neither overflows nor underflows.
-            shifted = shifted / np.linalg.norm(shifted)
-            shifted = shifted @ shifted
-            shifted = 0.5 * (shifted + shifted.conj().T)
-        value = float(np.vdot(u, whitened @ u).real)
-    if not converged:
-        raise EigenConvergenceError(
-            f"power iteration did not converge within {max_iter} iterations "
-            f"(tol={tol}, dim={n})"
-        )
-
-    v = inv_chol.conj().T @ u
-    v /= np.linalg.norm(v)
-    # Deterministic phase: first entry that is not negligible made real positive.
+    v = (inv_chol_h @ vectors[..., -1:])[..., 0]
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
     mags = np.abs(v)
-    idx = int(np.argmax(mags > 1e-12 * mags.max()))
-    phase = v[idx] / abs(v[idx])
-    v = v * phase.conjugate()
-    return v, value
+    idx = np.argmax(mags > 1e-12 * mags.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(v, idx[..., None], axis=-1)
+    v = v * (lead / np.abs(lead)).conj()
+    return v, values[..., -1]

@@ -20,6 +20,7 @@ __all__ = [
     "input_fwssnr",
     "DecodeOutcome",
     "decode_correct",
+    "selection_outcome",
     "aad_accuracy",
     "chance_upper_bound",
     "PUBLISHED_CHANCE_BOUND_PCT",
@@ -148,8 +149,19 @@ def decode_correct(selected, discarded, reference, cfg=FwssnrConfig(), sample_ra
     """
     score_sel = fwssnr(selected, reference, cfg, sample_rate)
     score_dis = fwssnr(discarded, reference, cfg, sample_rate)
-    tie = score_sel == score_dis
-    return DecodeOutcome(score_sel > score_dis, tie, score_sel, score_dis)
+    return selection_outcome([score_sel, score_dis], 0)
+
+
+def selection_outcome(scores, selected):
+    """Trial outcome from the fwSSNR of every candidate output.
+
+    The selected output must beat every other output strictly; equal best
+    scores count as incorrect and set the tie flag. ``fwssnr_discarded`` is
+    the best score among the other outputs.
+    """
+    best_other = max(s for i, s in enumerate(scores) if i != selected)
+    score = scores[selected]
+    return DecodeOutcome(score > best_other, score == best_other, score, best_other)
 
 
 def aad_accuracy(outcomes):

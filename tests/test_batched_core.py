@@ -1,0 +1,208 @@
+"""The frequency-batched beamformer core against the frozen per-bin oracle,
+plus property tests of the batched kernels."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import perbin_oracle
+from cogbeam import beamform, linalg, stft
+from cogbeam.beamform import ConvBeamformerConfig
+
+ZERO_BIN = 100
+DEGENERATE_BIN = 60
+
+
+def relative_l2(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.fixture(scope="module")
+def oracle_scene(small_reverberant_scene):
+    """The small reverberant scene with one all-zero bin and one bin whose
+    target mask is all ones (degenerate for every mask-steered type), plus
+    oracle direct-path steering and noise covariance for MVDR / LCMV."""
+    sc = small_reverberant_scene
+    mix = sc["mix"].copy()
+    mix[:, :, ZERO_BIN] = 0.0
+    target = sc["masks"][0].copy()
+    target[:, DEGENERATE_BIN] = 1.0
+    n_fft = sc["stft"].frame_length
+    anech = sc["acoustic"].anechoic_irs
+    steering = [np.fft.rfft(anech[i], n=n_fft, axis=1) for i in range(2)]
+    steering = [(s / s[0]).T for s in steering]  # (bins, mics), reference mic 0
+    noise = stft.analyze(sc["rendered"].noise, sc["stft"])
+    frames = noise.transpose(2, 1, 0)
+    noise_cov = frames.swapaxes(-1, -2) @ frames.conj() / frames.shape[1]
+    noise_cov = 0.5 * (noise_cov + noise_cov.conj().swapaxes(-1, -2))
+    return {
+        "mix": mix,
+        "target": target,
+        "interferers": [sc["masks"][1]],
+        "steering": steering[0],
+        "interferer_steering": steering[1][:, :, None],
+        "noise_cov": noise_cov,
+    }
+
+
+def _run_all(sc, cfg):
+    """(batched, oracle) outputs per beamformer type."""
+    mix, target, others = sc["mix"], sc["target"], sc["interferers"]
+    delta = cfg.delta
+    return {
+        "wMPDR": (
+            beamform.run_conv_beamformer(mix, target, cfg=cfg, mode="wmpdr"),
+            perbin_oracle.run_conv_beamformer(mix, target, cfg=cfg, mode="wmpdr"),
+        ),
+        "wLCMP": (
+            beamform.run_conv_beamformer(mix, target, others, cfg, mode="wlcmp"),
+            perbin_oracle.run_conv_beamformer(mix, target, others, cfg, mode="wlcmp"),
+        ),
+        "MPDR": (
+            beamform.mpdr(mix, target, cfg),
+            perbin_oracle.conventional(mix, target, None, None, cfg),
+        ),
+        "LCMP": (
+            beamform.lcmp(mix, target, others, cfg=cfg),
+            perbin_oracle.conventional(mix, target, others, delta, cfg),
+        ),
+        "MVDR": (
+            beamform.mvdr_lcmv(mix, sc["steering"], sc["noise_cov"], cfg=cfg),
+            perbin_oracle.conventional(
+                mix, None, None, None, cfg, sc["noise_cov"], sc["steering"]
+            ),
+        ),
+        "LCMV": (
+            beamform.mvdr_lcmv(
+                mix, sc["steering"], sc["noise_cov"], delta, sc["interferer_steering"], cfg
+            ),
+            perbin_oracle.conventional(
+                mix, None, None, delta, cfg, sc["noise_cov"], sc["steering"],
+                sc["interferer_steering"],
+            ),
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs(oracle_scene):
+    return _run_all(oracle_scene, ConvBeamformerConfig())
+
+
+KINDS = ("wMPDR", "wLCMP", "MPDR", "LCMP", "MVDR", "LCMV")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_failed_bins_and_passthrough_match_oracle(outputs, kind):
+    new, old = outputs[kind]
+    assert [fb[:2] for fb in new.diagnostics.failed_bins] == [
+        fb[:2] for fb in old.diagnostics.failed_bins
+    ]
+    assert [s.passthrough for s in new.states] == [s.passthrough for s in old.states]
+    assert [s.filter_taps for s in new.states] == [s.filter_taps for s in old.states]
+    if kind in ("MVDR", "LCMV"):
+        assert not new.diagnostics.failed_bins  # steering does not come from the mask
+    else:
+        assert [fb[:2] for fb in new.diagnostics.failed_bins] == [(DEGENERATE_BIN, 0)]
+        assert new.states[ZERO_BIN].passthrough
+
+
+@pytest.mark.parametrize(
+    "kind, tol", [("wMPDR", 1e-6), ("MPDR", 1e-10), ("LCMP", 1e-10), ("MVDR", 1e-10), ("LCMV", 1e-10)]
+)
+def test_output_matches_oracle(outputs, kind, tol):
+    new, old = outputs[kind]
+    assert relative_l2(new.z, old.z) <= tol
+    np.testing.assert_allclose(
+        new.diagnostics.constraint_residual_per_bin,
+        old.diagnostics.constraint_residual_per_bin,
+        atol=1e-10,
+    )
+
+
+def test_wlcmp_matches_oracle_inside_dc_and_nyquist(outputs):
+    # The wLCMP objective is not monotone at DC and Nyquist (see README), so
+    # rounding differences grow there; inside, the outputs agree closely.
+    new, old = outputs["wLCMP"]
+    inner = slice(1, new.z.shape[1] - 1)
+    assert relative_l2(new.z[:, inner], old.z[:, inner]) <= 1e-5
+    for fi in (0, new.z.shape[1] - 1):
+        assert np.all(np.isfinite(new.z[:, fi]))
+        assert new.diagnostics.constraint_residual_per_bin[fi] <= 1e-8
+
+
+def test_wlcmp_without_interferers_bitwise_equals_wmpdr(oracle_scene):
+    cfg = ConvBeamformerConfig(iterations=2)
+    a = beamform.run_conv_beamformer(oracle_scene["mix"], oracle_scene["target"], cfg=cfg)
+    b = beamform.run_conv_beamformer(
+        oracle_scene["mix"], oracle_scene["target"], [], cfg, mode="wlcmp"
+    )
+    np.testing.assert_array_equal(a.z, b.z)
+
+
+@pytest.mark.parametrize("kind", ["wMPDR", "LCMP"])
+def test_failure_leaves_chunk_neighbours_unchanged(oracle_scene, monkeypatch, kind):
+    # the degenerate bin shares its chunk with others; solving every bin in
+    # a chunk of its own must give the same bits
+    cfg = ConvBeamformerConfig(iterations=2)
+    chunked = _run_all(oracle_scene, cfg)[kind][0]
+    monkeypatch.setattr(beamform, "_CHUNK_BYTES", 1)
+    alone = _run_all(oracle_scene, cfg)[kind][0]
+    np.testing.assert_array_equal(chunked.z, alone.z)
+    assert chunked.diagnostics.failed_bins == alone.diagnostics.failed_bins
+
+
+def test_chunks_fit_the_byte_budget():
+    # budget 4 MiB: 2 bins of 2.0 MB, 2 of 1.6 MB, 5 of 0.8 MB per chunk
+    keys = [20] * 7 + [None] + [16] * 5 + [8] * 12
+    chunks = list(beamform._chunks(keys, lambda key: key * 100_000))
+    assert [(key, len(bins)) for key, bins in chunks] == [
+        (20, 2), (20, 2), (20, 2), (20, 1), (16, 2), (16, 2), (16, 1), (8, 5), (8, 5), (8, 2)
+    ]
+    covered = np.concatenate([bins for _, bins in chunks])
+    np.testing.assert_array_equal(covered, [i for i, key in enumerate(keys) if key is not None])
+
+
+def _random_hpd(rng, batch, n, loading=0.1):
+    x = rng.standard_normal((batch, n, 2 * n)) + 1j * rng.standard_normal((batch, n, 2 * n))
+    a = x @ x.conj().swapaxes(-1, -2) / (2 * n)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2)) + loading * np.eye(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6), n=st.integers(2, 8))
+def test_batched_eigvec_matches_dense_generalized_eig(seed, batch, n):
+    rng = np.random.default_rng(seed)
+    a = _random_hpd(rng, batch, n)
+    b = _random_hpd(rng, batch, n)
+    v, value = linalg.max_generalized_eigvec(a, b)
+    for i in range(batch):
+        vals, vecs = scipy.linalg.eigh(a[i], b[i])
+        gap = (vals[-1] - vals[-2]) / vals[-1]
+        assume(gap > 1e-3)
+        top = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
+        sin_angle = np.linalg.norm(v[i] - top * np.vdot(top, v[i]))
+        assert sin_angle <= 1e-8 / gap
+        assert value[i] == pytest.approx(vals[-1], rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 6),
+    n=st.integers(2, 8),
+    n_con=st.integers(1, 3),
+)
+def test_batched_constrained_solve_residual(seed, batch, n, n_con):
+    n_con = min(n_con, n - 1) if n > 1 else 1
+    rng = np.random.default_rng(seed)
+    cov = _random_hpd(rng, batch, n)
+    constraints = rng.standard_normal((batch, n, n_con)) + 1j * rng.standard_normal(
+        (batch, n, n_con)
+    )
+    response = np.concatenate([[1.0], np.full(n_con - 1, 0.1)])
+    q = beamform.wlcmp_solve(cov, constraints, response)
+    gain = (constraints.conj().swapaxes(-1, -2) @ q[..., None])[..., 0]
+    assert np.max(np.abs(gain - response)) <= 1e-10

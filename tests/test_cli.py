@@ -70,6 +70,47 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="scene"):
             cli.load_config(path)
 
+    def test_unknown_top_level_key(self, tmp_path):
+        path = write_config(tmp_path, beamfomer={"iterations": 1})
+        with pytest.raises(cli.ConfigError, match="beamfomer"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("duration, trial", [(30.0, 30.0), (5.0, 3.0)])
+    def test_synth_scene_needs_two_trials(self, tmp_path, duration, trial):
+        cfg = cli.load_config(
+            write_config(tmp_path, scene={"duration_s": duration}, aad={"trial_seconds": trial})
+        )
+        # refused before any scene file is read
+        missing = tmp_path / "no_scene"
+        with pytest.raises(cli.ConfigError, match="trial_seconds"):
+            cli.cmd_enhance(cfg, missing, tmp_path / "enh")
+        with pytest.raises(cli.ConfigError, match="trial_seconds"):
+            cli.cmd_decode(cfg, missing, missing, tmp_path / "dec")
+
+    def test_readme_defaults_run_all_stages(self, tmp_path):
+        # the documented defaults (60 s scene, 30 s trials) scaled down
+        # twentyfold, keeping their ratio
+        defaults = cli.PipelineConfig(seed=0)
+        assert (defaults.scene.duration_s, defaults.aad.trial_seconds) == (60.0, 30.0)
+        path = tmp_path / "readme.json"
+        path.write_text(
+            json.dumps(
+                {"seed": 17, "scene": {"duration_s": 3.0}, "aad": {"trial_seconds": 1.5}}
+            )
+        )
+        stages = [
+            ["simulate", "--out", str(tmp_path / "scene")],
+            ["enhance", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "enh")],
+            ["decode", "--scene", str(tmp_path / "scene"), "--enhanced", str(tmp_path / "enh"),
+             "--out", str(tmp_path / "dec")],
+            ["evaluate", "--scene", str(tmp_path / "scene"), "--enhanced", str(tmp_path / "enh"),
+             "--decoded", str(tmp_path / "dec"), "--out", str(tmp_path / "eval")],
+        ]
+        for argv in stages:
+            assert cli.main([argv[0], "--config", str(path)] + argv[1:]) == 0, argv[0]
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["n_trials"] == 2
+
 
 class TestSimulate:
     def test_seed_repeat_byte_identical(self, tmp_path):
@@ -126,7 +167,15 @@ class TestEnhance:
         assert (root / "enh" / "speaker0.wav").exists()
         assert (root / "enh" / "speaker1.wav").exists()
         diag = json.loads((root / "enh" / "diagnostics.json").read_text())
-        assert diag["speaker0"]["max_constraint_residual"] <= 1e-8
+        speaker = diag["speaker0"]
+        assert speaker["max_constraint_residual"] <= 1e-8
+        n_bins = 257
+        assert speaker["failed_bins"] == len(speaker["failed_bin_list"])
+        assert len(speaker["constraint_residual_per_bin"]) == n_bins
+        solved = [r for r in speaker["constraint_residual_per_bin"] if r is not None]
+        assert max(solved) == speaker["max_constraint_residual"]
+        assert len(speaker["objective_per_bin"]) == 2  # iterations
+        assert all(len(row) == n_bins for row in speaker["objective_per_bin"])
 
     def test_wlcmp_single_speaker_equals_wmpdr_bitwise(self, tmp_path):
         cfg_w = cli.load_config(
@@ -235,6 +284,52 @@ class TestEvaluate:
         assert report["delta_fwssnr_est_aad_db"] == 0.0
         assert all(t["tie"] for t in report["trials"])
         assert report["aad_accuracy_pct"] == 0.0  # ties count as incorrect
+
+
+class TestThreeSpeakers:
+    def test_selection_must_beat_every_other_output(self, tmp_path):
+        cfg = cli.load_config(
+            write_config(tmp_path, scene={"n_speakers": 3, "noise_gain": 0.01})
+        )
+        cli.cmd_simulate(cfg, tmp_path / "scene")
+        cli.cmd_enhance(cfg, tmp_path / "scene", tmp_path / "enh")
+        cli.cmd_decode(cfg, tmp_path / "scene", tmp_path / "enh", tmp_path / "dec")
+        report = cli.cmd_evaluate(
+            cfg, tmp_path / "scene", tmp_path / "enh", tmp_path / "dec", tmp_path / "eval"
+        )
+        for row in report["trials"]:
+            scores = row["output_fwssnr_db"]
+            assert len(scores) == 3
+            others = [s for i, s in enumerate(scores) if i != row["selected"]]
+            assert row["correct"] == (scores[row["selected"]] > max(others))
+
+        # Fixed outputs: speaker 0's output is the mixture, speaker 1's the
+        # other talker's clean signal, speaker 2's speaker 0's clean signal.
+        # Selecting output 0 for attended speaker 0 beats output 1 but not
+        # output 2, so neither the selection nor the oracle choice is correct.
+        rendered, meta = cli._load_scene_dir(tmp_path / "scene")
+        ref = meta["reference_mics"]
+        fixed = tmp_path / "fixed"
+        fixed.mkdir()
+        signals = [
+            rendered.mics[ref[0]],
+            rendered.anechoic[1, ref[0]],
+            rendered.anechoic[0, ref[0]],
+        ]
+        for i, signal in enumerate(signals):
+            cli.write_wav(fixed / f"speaker{i}.wav", signal, meta["sample_rate"])
+        dec = tmp_path / "dec_fixed"
+        dec.mkdir()
+        with open(dec / "trials.jsonl", "w") as fh:
+            for t in range(report["n_trials"]):
+                fh.write(json.dumps({"trial": t, "selected": 0, "attended": 0}) + "\n")
+        fixed_report = cli.cmd_evaluate(cfg, tmp_path / "scene", fixed, dec, tmp_path / "ev2")
+        for row in fixed_report["trials"]:
+            scores = row["output_fwssnr_db"]
+            assert scores[0] > scores[1] and scores[2] > scores[0]
+            assert not row["correct"]
+        assert fixed_report["aad_accuracy_pct"] == 0.0
+        assert fixed_report["oracle_aad_accuracy_pct"] == 0.0
 
 
 class TestMainEntry:
