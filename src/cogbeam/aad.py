@@ -18,8 +18,6 @@ __all__ = [
     "UndefinedCorrelationError",
     "Decoder",
     "SpeakerSelection",
-    "Trial",
-    "TrialSet",
     "extract_envelope",
     "train_decoder",
     "reconstruct_envelope",
@@ -27,9 +25,7 @@ __all__ = [
     "select_speaker",
     "synthesize_eeg",
     "make_synthetic_trial_set",
-    "train_decoder_on_trials",
     "decode_trials",
-    "selection_accuracy",
 ]
 
 
@@ -82,12 +78,12 @@ def _design_matrix(eeg, lags):
 
 @dataclass
 class Decoder:
-    """Spatio-temporal reconstruction filter: weights (channels, lags)."""
+    """Spatio-temporal reconstruction filter: weights (channels, lags) over
+    z-scored EEG."""
 
     weights: np.ndarray
     lags: np.ndarray
     rate: float
-    zscore: bool = True
 
     @property
     def n_channels(self):
@@ -139,9 +135,7 @@ def reconstruct_envelope(eeg, decoder):
         raise ValueError(
             f"EEG has {eeg.shape[0]} channels, decoder expects {decoder.n_channels}"
         )
-    if decoder.zscore:
-        eeg = _zscore(eeg)
-    x = _design_matrix(eeg, decoder.lags)
+    x = _design_matrix(_zscore(eeg), decoder.lags)
     return x @ decoder.weights.ravel()
 
 
@@ -260,23 +254,6 @@ def synthesize_eeg(
     return eeg
 
 
-@dataclass
-class Trial:
-    eeg: np.ndarray  # (channels, samples)
-    candidate_envelopes: np.ndarray  # (speakers, samples)
-    attended: int
-    duration: float
-
-
-@dataclass
-class TrialSet:
-    trials: list
-    rate: float
-
-    def __len__(self):
-        return len(self.trials)
-
-
 def make_synthetic_trial_set(
     envelopes,
     attended,
@@ -286,8 +263,9 @@ def make_synthetic_trial_set(
     seed=0,
     trial_seconds=30.0,
 ):
-    """Split candidate envelopes into fixed-length trials and attach
-    synthetic EEG following the attended speaker.
+    """Split candidate envelopes into fixed-length trials and synthesize EEG
+    following the attended speaker: returns ``(eeg, labels)``, with ``eeg``
+    of shape ``(trials, channels, samples)`` and one label per trial.
 
     ``attended`` is a speaker index applied to all trials or one index per
     trial. ``seed`` plays the role of the listener: the EEG mixing is fixed
@@ -300,14 +278,16 @@ def make_synthetic_trial_set(
     n_trials = n // per_trial
     if n_trials == 0:
         raise ValueError("envelopes shorter than one trial")
-    labels = np.broadcast_to(np.asarray(attended, dtype=int), (n_trials,))
-    trials = []
+    labels = np.broadcast_to(np.asarray(attended, dtype=int), (n_trials,)).copy()
+    if np.any((labels < 0) | (labels >= n_spk)):
+        raise ValueError(f"attended speaker indices must lie in [0, {n_spk})")
+    eeg = np.empty((n_trials, n_channels, per_trial))
     for t in range(n_trials):
         seg = envelopes[:, t * per_trial : (t + 1) * per_trial]
-        att = int(labels[t])
+        att = labels[t]
         others = [i for i in range(n_spk) if i != att]
         unattended = seg[others].mean(axis=0) if others else np.zeros(per_trial)
-        eeg = synthesize_eeg(
+        eeg[t] = synthesize_eeg(
             seg[att],
             unattended,
             n_channels,
@@ -316,29 +296,34 @@ def make_synthetic_trial_set(
             noise_seed=np.random.SeedSequence((seed, t)),
             rate=rate,
         )
-        trials.append(Trial(eeg, seg.copy(), att, trial_seconds))
-    return TrialSet(trials, rate)
+    return eeg, labels
 
 
-def train_decoder_on_trials(trial_set, lag_range_ms=(0.0, 250.0), ridge=100.0):
-    eeg = [t.eeg for t in trial_set.trials]
-    envs = [t.candidate_envelopes[t.attended] for t in trial_set.trials]
-    return train_decoder(eeg, envs, lag_range_ms, ridge, trial_set.rate)
+def decode_trials(eeg, candidates, labels, lag_range_ms=(0.0, 250.0), ridge=100.0, rate=64):
+    """Leave-one-out decoding: for each trial, train a decoder on the
+    attended envelopes of all other trials, reconstruct this trial's
+    envelope and select among its candidates.
 
-
-def decode_trials(trial_set, decoder):
-    """Reconstruct and select per trial; returns a SpeakerSelection list."""
+    ``eeg[t]`` is trial ``t``'s ``(channels, samples)`` EEG, ``candidates[t]``
+    its ``(speakers, samples)`` candidate envelopes and ``labels[t]`` the
+    index of its attended candidate. Returns one SpeakerSelection per trial.
+    """
+    n_trials = len(eeg)
+    if len(candidates) != n_trials or len(labels) != n_trials:
+        raise ValueError(
+            f"{n_trials} EEG trials, {len(candidates)} candidate sets "
+            f"and {len(labels)} labels"
+        )
     selections = []
-    for trial in trial_set.trials:
-        recon = reconstruct_envelope(trial.eeg, decoder)
-        candidates = [env[: recon.size] for env in trial.candidate_envelopes]
-        selections.append(select_speaker(candidates, recon))
+    for t in range(n_trials):
+        others = [j for j in range(n_trials) if j != t]
+        decoder = train_decoder(
+            [eeg[j] for j in others],
+            [candidates[j][labels[j]] for j in others],
+            lag_range_ms,
+            ridge,
+            rate,
+        )
+        recon = reconstruct_envelope(eeg[t], decoder)
+        selections.append(select_speaker(candidates[t], recon))
     return selections
-
-
-def selection_accuracy(selections, trial_set):
-    correct = [
-        sel.index == trial.attended
-        for sel, trial in zip(selections, trial_set.trials)
-    ]
-    return 100.0 * sum(correct) / len(correct)

@@ -47,7 +47,6 @@ class SceneConfig:
     max_pause_s: float = 0.5
     pause_every_s: float = 4.0
     pause_length_s: float = 1.5
-    angles_deg: tuple = (-45.0, 45.0)
     direct_to_reverb_db: float = 5.0
     shadow_db: float = 12.0
 
@@ -92,7 +91,7 @@ def _build(section_cls, data, name):
         raise ConfigError(f"section {name!r} must be an object")
     try:
         return section_cls(**{k: _tupled(v) for k, v in data.items()})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {name!r}: {exc}") from None
 
 
@@ -148,12 +147,23 @@ def load_config(path):
         raise ConfigError("aad.mode must be 'synth' or 'file'")
     if cfg.aad.trial_seconds <= 0:
         raise ConfigError("aad.trial_seconds must be positive")
+    if cfg.aad.mode == "synth" and not _is_speaker_index(
+        cfg.aad.attended_speaker, cfg.scene.n_speakers
+    ):
+        raise ConfigError(
+            f"aad.attended_speaker {cfg.aad.attended_speaker} must be a speaker index "
+            f"in [0, {cfg.scene.n_speakers}) (scene.n_speakers)"
+        )
     if cfg.aad.mode == "file":
         for key in ("eeg_path", "labels_path"):
             p = getattr(cfg.aad, key)
             if not p or not Path(p).exists():
                 raise ConfigError(f"aad.{key} not found: {p}")
     return cfg
+
+
+def _is_speaker_index(value, n_speakers):
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n_speakers
 
 
 def _check_trial_count(cfg):
@@ -282,7 +292,6 @@ def cmd_simulate(cfg, out_dir):
         "sample_rate": fs,
         "condition": sc.condition,
         "t60_s": t60,
-        "angles_deg": list(sc.angles_deg)[: sc.n_speakers],
         "n_speakers": sc.n_speakers,
         "n_mics": sc.n_mics,
         "noise_gain": gain,
@@ -433,6 +442,11 @@ def _json_floats(values):
     return [None if np.isnan(v) else float(v) for v in values]
 
 
+def _read_enhanced(enhance_dir, n_speakers):
+    """The enhanced single-channel output of every speaker."""
+    return [read_wav(Path(enhance_dir) / f"speaker{i}.wav")[0][0] for i in range(n_speakers)]
+
+
 def _trial_spans(n_samples, fs, trial_seconds):
     per = int(round(trial_seconds * fs))
     return [(t * per, (t + 1) * per) for t in range(n_samples // per)]
@@ -449,10 +463,7 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
     ref_mics = meta["reference_mics"]
     ac = cfg.aad
 
-    enhanced = []
-    for i in range(n_speakers):
-        sig, _ = read_wav(Path(enhance_dir) / f"speaker{i}.wav")
-        enhanced.append(sig[0])
+    enhanced = _read_enhanced(enhance_dir, n_speakers)
     n = min(map(len, enhanced))
     candidate_envs = np.stack(
         [aad.extract_envelope(e[:n], fs, ac.rate) for e in enhanced]
@@ -460,9 +471,7 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
 
     spans = _trial_spans(candidate_envs.shape[1], ac.rate, ac.trial_seconds)
     if not spans:
-        raise ConfigError(
-            f"scene too short for one {ac.trial_seconds:.0f}-second trial"
-        )
+        raise ConfigError(f"scene too short for one {ac.trial_seconds:g}-second trial")
 
     if ac.mode == "synth":
         # listener-side envelopes come from the clean direct-path components
@@ -472,7 +481,7 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
                 for i in range(n_speakers)
             ]
         )
-        trial_set = aad.make_synthetic_trial_set(
+        eeg, labels = aad.make_synthetic_trial_set(
             clean_envs[:, : spans[-1][1]],
             ac.attended_speaker,
             ac.rate,
@@ -481,45 +490,39 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
             seed=cfg.seed,
             trial_seconds=ac.trial_seconds,
         )
-        eeg_trials = [t.eeg for t in trial_set.trials]
-        labels = [t.attended for t in trial_set.trials]
     else:
         eeg = read_tensor(Path(ac.eeg_path))
         if eeg.ndim != 3:
             raise ConfigError("EEG tensor must have shape (trials, channels, samples)")
         labels = json.loads(Path(ac.labels_path).read_text())
-        if len(labels) != eeg.shape[0]:
-            raise ConfigError("label count does not match EEG trials")
-        eeg_trials = [eeg[t] for t in range(eeg.shape[0])]
-    n_trials = min(len(spans), len(eeg_trials))
-
-    records = []
-    for t in range(n_trials):
-        lo, hi = spans[t]
-        # leave-one-out training on the listener's remaining trials
-        train_eeg = [eeg_trials[j] for j in range(n_trials) if j != t]
-        train_env = [
-            candidate_envs[labels[j], spans[j][0] : spans[j][1]]
-            for j in range(n_trials)
-            if j != t
-        ]
-        decoder = aad.train_decoder(
-            train_eeg, train_env, ac.lag_range_ms, ac.ridge, ac.rate
-        )
-        recon = aad.reconstruct_envelope(eeg_trials[t], decoder)
-        sel = aad.select_speaker(
-            [candidate_envs[i, lo:hi] for i in range(n_speakers)], recon
-        )
-        records.append(
-            {
-                "trial": t,
-                "selected": sel.index,
-                "attended": int(labels[t]),
-                "correlations": [None if np.isnan(r) else float(r) for r in sel.correlations],
-                "tie": sel.tie,
-                "excluded": list(sel.excluded),
-            }
-        )
+        if not isinstance(labels, list) or len(labels) != eeg.shape[0]:
+            raise ConfigError("labels must be a list with one entry per EEG trial")
+        bad = [label for label in labels if not _is_speaker_index(label, n_speakers)]
+        if bad:
+            raise ConfigError(
+                f"attention labels must be speaker indices in [0, {n_speakers}), "
+                f"got {bad[:5]}"
+            )
+    n_trials = min(len(spans), len(eeg))
+    selections = aad.decode_trials(
+        eeg[:n_trials],
+        [candidate_envs[:, lo:hi] for lo, hi in spans[:n_trials]],
+        labels[:n_trials],
+        ac.lag_range_ms,
+        ac.ridge,
+        ac.rate,
+    )
+    records = [
+        {
+            "trial": t,
+            "selected": sel.index,
+            "attended": int(labels[t]),
+            "correlations": [None if np.isnan(r) else float(r) for r in sel.correlations],
+            "tie": sel.tie,
+            "excluded": list(sel.excluded),
+        }
+        for t, sel in enumerate(selections)
+    ]
     with open(out / "trials.jsonl", "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -536,10 +539,7 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
     n_speakers = meta["n_speakers"]
     ref_mics = meta["reference_mics"]
 
-    enhanced = []
-    for i in range(n_speakers):
-        sig, _ = read_wav(Path(enhance_dir) / f"speaker{i}.wav")
-        enhanced.append(sig[0])
+    enhanced = _read_enhanced(enhance_dir, n_speakers)
     n = min(min(map(len, enhanced)), rendered.mics.shape[1])
 
     records = [

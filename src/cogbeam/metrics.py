@@ -41,7 +41,6 @@ class FwssnrConfig:
     clamp_db: tuple = (-10.0, 35.0)
     weight_exponent: float = 0.2
     active_range_db: float = 35.0  # frames this far below the peak are skipped
-    reference_mic: int = 0
 
     def __post_init__(self):
         if self.clamp_db[0] >= self.clamp_db[1]:
@@ -118,15 +117,12 @@ def fwssnr(test, reference, cfg=FwssnrConfig(), sample_rate=16000):
     return float(per_frame[active].mean())
 
 
-def input_fwssnr(rendered, speaker, cfg=FwssnrConfig(), sample_rate=16000, reference_mic=None):
+def input_fwssnr(rendered, speaker, cfg=FwssnrConfig(), sample_rate=16000, reference_mic=0):
     """Best microphone fwSSNR for one speaker of a rendered scene.
 
-    The reference is that speaker's anechoic component at ``reference_mic``
-    (falling back to ``cfg.reference_mic``); the score is the maximum over
-    microphone signals.
+    The reference is that speaker's anechoic component at ``reference_mic``;
+    the score is the maximum over microphone signals.
     """
-    if reference_mic is None:
-        reference_mic = cfg.reference_mic
     reference = rendered.anechoic[speaker, reference_mic]
     scores = [
         fwssnr(rendered.mics[m], reference, cfg, sample_rate)

@@ -192,18 +192,18 @@ def calibrate_noise_gain(
 
     ``reference_source`` selects which speaker's input fwSSNR is matched;
     None averages over all speakers. ``reference_mics`` optionally gives each
-    speaker its own reference microphone. Raises CalibrationError when the
-    target lies outside what the gain bounds can reach.
+    speaker its own reference microphone (default: microphone 0). Raises
+    CalibrationError when the target lies outside what the gain bounds can
+    reach.
     """
     if scene.noise is None or not np.any(scene.noise):
         raise ValueError("scene has no noise to calibrate")
     cfg = cfg or metrics.FwssnrConfig()
+    if reference_mics is None:
+        reference_mics = [0] * scene.n_sources
 
     unit = render(scene, 1.0)
     speech_sum = unit.components.sum(axis=0)
-
-    def ref_mic(i):
-        return None if reference_mics is None else reference_mics[i]
 
     def achieved(gain):
         rendered = RenderedScene(
@@ -215,12 +215,12 @@ def calibrate_noise_gain(
         )
         if reference_source is None:
             vals = [
-                metrics.input_fwssnr(rendered, i, cfg, scene.sample_rate, ref_mic(i))
+                metrics.input_fwssnr(rendered, i, cfg, scene.sample_rate, reference_mics[i])
                 for i in range(scene.n_sources)
             ]
             return float(np.mean(vals))
         return metrics.input_fwssnr(
-            rendered, reference_source, cfg, scene.sample_rate, ref_mic(reference_source)
+            rendered, reference_source, cfg, scene.sample_rate, reference_mics[reference_source]
         )
 
     lo, hi = gain_bounds

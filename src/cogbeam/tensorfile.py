@@ -12,6 +12,7 @@ Layout (all integers little-endian):
 The format is lossless: ``read_tensor(write_tensor(x)) == x`` bit for bit.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -74,9 +75,7 @@ def read_tensor(path):
         )
     dims = struct.unpack(f"<{rank}Q", data[7:dims_end])
     dtype = _CODE_DTYPES[code].newbyteorder("<")
-    n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-    if rank == 0:
-        n_bytes = dtype.itemsize
+    n_bytes = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
     payload = data[dims_end:]
     if len(payload) < n_bytes:
         raise TensorFileError(
@@ -86,5 +85,8 @@ def read_tensor(path):
         raise TensorFileError(
             f"trailing garbage: {len(payload) - n_bytes} extra bytes"
         )
-    array = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    try:
+        array = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    except ValueError as exc:  # over 64 axes, or a zero-size shape numpy cannot hold
+        raise TensorFileError(f"unsupported shape {dims}: {exc}") from None
     return array.astype(_CODE_DTYPES[code], copy=True)

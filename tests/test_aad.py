@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogbeam import aad
+from cogbeam import metrics
 from cogbeam.aad import (
     UndefinedCorrelationError,
     decode_trials,
@@ -10,10 +10,8 @@ from cogbeam.aad import (
     pearson,
     reconstruct_envelope,
     select_speaker,
-    selection_accuracy,
     synthesize_eeg,
     train_decoder,
-    train_decoder_on_trials,
 )
 
 FS = 16000
@@ -229,14 +227,59 @@ class TestSynthesizeEeg:
             synthesize_eeg(np.ones(10), np.ones(11), 4, 0.0, mixing_seed=0)
 
 
+class TestSyntheticTrials:
+    def test_shapes_and_labels(self):
+        rng = np.random.default_rng(18)
+        envelopes = np.vstack([smooth_envelope(rng, 700), smooth_envelope(rng, 700)])
+        eeg, labels = make_synthetic_trial_set(
+            envelopes, [0, 1, 1], EEG_RATE, n_channels=4, trial_seconds=3.0
+        )
+        assert eeg.shape == (3, 4, 192)
+        assert labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("attended", [-1, 2])
+    def test_out_of_range_label_rejected(self, attended):
+        with pytest.raises(ValueError, match="attended"):
+            make_synthetic_trial_set(
+                np.ones((2, 640)), attended, EEG_RATE, n_channels=4, trial_seconds=5.0
+            )
+
+
+class TestDecodeTrials:
+    def test_leave_one_out_matches_per_trial_oracle(self):
+        rng = np.random.default_rng(19)
+        n_trials, per = 5, 640
+        envelopes = np.vstack([smooth_envelope(rng, n_trials * per) for _ in range(2)])
+        eeg, labels = make_synthetic_trial_set(
+            envelopes, [0, 1, 0, 1, 1], EEG_RATE, n_channels=8, snr_db=20.0, seed=5,
+            trial_seconds=10.0,
+        )
+        candidates = envelopes.reshape(2, n_trials, per).transpose(1, 0, 2)
+        got = decode_trials(eeg, candidates, labels)
+        for t, sel in enumerate(got):
+            train = [j for j in range(n_trials) if j != t]
+            decoder = train_decoder(
+                [eeg[j] for j in train], [candidates[j, labels[j]] for j in train]
+            )
+            want = select_speaker(candidates[t], reconstruct_envelope(eeg[t], decoder))
+            assert (sel.index, sel.tie) == (want.index, want.tie)
+            np.testing.assert_array_equal(sel.correlations, want.correlations)
+        assert [sel.index for sel in got] == labels.tolist()
+
+    def test_count_mismatch(self):
+        with pytest.raises(ValueError, match="labels"):
+            decode_trials(np.zeros((3, 2, 100)), np.zeros((3, 2, 100)), [0, 1])
+
+
 class TestEndToEnd:
-    def make_trials(self, seed, snr_db, n_trials, trial_seconds=30.0):
-        """One synthetic listener: fixed EEG mixing, fresh noise per trial."""
+    def fixed_split_accuracy(self, seed, snr_db, n_trials, n_train, trial_seconds=30.0):
+        """One synthetic listener (fixed EEG mixing, fresh noise per trial):
+        train on the first ``n_train`` trials, decode the rest."""
         rng = np.random.default_rng(1000 + seed)
         n = int(n_trials * trial_seconds * EEG_RATE)
         envelopes = np.vstack([smooth_envelope(rng, n), smooth_envelope(rng, n)])
         labels = rng.integers(0, 2, n_trials)
-        return make_synthetic_trial_set(
+        eeg, labels = make_synthetic_trial_set(
             envelopes,
             labels,
             EEG_RATE,
@@ -245,25 +288,24 @@ class TestEndToEnd:
             seed=seed,
             trial_seconds=trial_seconds,
         )
-
-    def split(self, trial_set, n_train):
-        from cogbeam.aad import TrialSet
-
-        return (
-            TrialSet(trial_set.trials[:n_train], trial_set.rate),
-            TrialSet(trial_set.trials[n_train:], trial_set.rate),
+        per = eeg.shape[2]
+        candidates = [envelopes[:, t * per : (t + 1) * per] for t in range(n_trials)]
+        decoder = train_decoder(
+            eeg[:n_train], [candidates[t][labels[t]] for t in range(n_train)], rate=EEG_RATE
         )
+        correct = [
+            select_speaker(candidates[t], reconstruct_envelope(eeg[t], decoder)).index
+            == labels[t]
+            for t in range(n_train, n_trials)
+        ]
+        return metrics.aad_accuracy(correct)
 
     def test_high_snr_decodes_all_trials(self):
-        full = self.make_trials(seed=1, snr_db=40.0, n_trials=30)
-        train, test = self.split(full, 10)
-        decoder = train_decoder_on_trials(train)
-        accuracy = selection_accuracy(decode_trials(test, decoder), test)
+        accuracy = self.fixed_split_accuracy(seed=1, snr_db=40.0, n_trials=30, n_train=10)
         assert accuracy == 100.0
 
     def test_very_low_snr_near_chance(self):
-        full = self.make_trials(seed=3, snr_db=-40.0, n_trials=210, trial_seconds=5.0)
-        train, test = self.split(full, 10)
-        decoder = train_decoder_on_trials(train)
-        accuracy = selection_accuracy(decode_trials(test, decoder), test)
+        accuracy = self.fixed_split_accuracy(
+            seed=3, snr_db=-40.0, n_trials=210, n_train=10, trial_seconds=5.0
+        )
         assert 35.0 <= accuracy <= 65.0

@@ -355,13 +355,21 @@ def _aad_accuracy(seed, snr_db, n_train, n_test):
     n = total * 30 * EEG_RATE
     envelopes = np.vstack([_smooth_envelope(rng, n), _smooth_envelope(rng, n)])
     labels = rng.integers(0, 2, total)
-    full = aad.make_synthetic_trial_set(
+    eeg, labels = aad.make_synthetic_trial_set(
         envelopes, labels, EEG_RATE, 16, snr_db, seed=seed, trial_seconds=30.0
     )
-    train = aad.TrialSet(full.trials[:n_train], EEG_RATE)
-    test = aad.TrialSet(full.trials[n_train:], EEG_RATE)
-    decoder = aad.train_decoder_on_trials(train)
-    return aad.selection_accuracy(aad.decode_trials(test, decoder), test)
+    per = eeg.shape[2]
+    candidates = [envelopes[:, t * per : (t + 1) * per] for t in range(total)]
+    # fixed split: train on the first n_train trials, decode the rest
+    decoder = aad.train_decoder(
+        eeg[:n_train], [candidates[t][labels[t]] for t in range(n_train)], rate=EEG_RATE
+    )
+    correct = [
+        aad.select_speaker(candidates[t], aad.reconstruct_envelope(eeg[t], decoder)).index
+        == labels[t]
+        for t in range(n_train, total)
+    ]
+    return metrics.aad_accuracy(correct)
 
 
 def test_criterion_9_aad_end_to_end():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogbeam import cli, metrics
+from cogbeam import aad, cli, metrics
 from cogbeam.tensorfile import read_tensor, write_tensor
 
 
@@ -73,6 +73,23 @@ class TestConfig:
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, beamfomer={"iterations": 1})
         with pytest.raises(cli.ConfigError, match="beamfomer"):
+            cli.load_config(path)
+
+    def test_section_validation_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, beamformer={"iterations": 0})
+        with pytest.raises(cli.ConfigError, match="beamformer"):
+            cli.load_config(path)
+
+    def test_hop_without_overlap_refused_at_load(self, tmp_path):
+        # refused before any stage runs, not in stft.synthesize after enhance
+        path = write_config(tmp_path, stft={"frame_length": 128, "hop": 128})
+        with pytest.raises(cli.ConfigError, match="stft"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("attended", [-1, 2])
+    def test_synth_attended_speaker_range(self, tmp_path, attended):
+        path = write_config(tmp_path, aad={"attended_speaker": attended})
+        with pytest.raises(cli.ConfigError, match="attended_speaker"):
             cli.load_config(path)
 
     @pytest.mark.parametrize("duration, trial", [(30.0, 30.0), (5.0, 3.0)])
@@ -240,6 +257,56 @@ class TestDecode:
         ]
         correct = [r["selected"] == r["attended"] for r in records]
         assert sum(correct) >= 0.75 * len(correct)
+
+    def test_file_mode_matches_synth_mode(self, pipeline, tmp_path, monkeypatch):
+        # feed the synthetic EEG that synth mode decodes back in through file
+        # mode: both reach the same leave-one-out decoding
+        root, cfg, _ = pipeline
+        made = []
+        original = aad.make_synthetic_trial_set
+
+        def keep(*args, **kwargs):
+            made.append(original(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(aad, "make_synthetic_trial_set", keep)
+        cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "synth")
+        eeg, labels = made[0]
+        file_cfg = self.file_mode_config(tmp_path, eeg, labels.tolist())
+        cli.cmd_decode(file_cfg, root / "scene", root / "enh", tmp_path / "file")
+        assert (tmp_path / "file" / "trials.jsonl").read_bytes() == (
+            tmp_path / "synth" / "trials.jsonl"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2, 1.0, True])
+    def test_file_mode_labels_range_checked(self, pipeline, tmp_path, monkeypatch, bad):
+        root, _, _ = pipeline
+        cfg = self.file_mode_config(tmp_path, np.zeros((4, 16, 96)), [0, 1, bad, 0])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the labels were checked")
+
+        monkeypatch.setattr(aad, "train_decoder", no_training)
+        with pytest.raises(cli.ConfigError, match=r"speaker indices in \[0, 2\)"):
+            cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "dec")
+
+    def test_too_short_message_keeps_fraction(self, pipeline, tmp_path):
+        root, _, _ = pipeline
+        cfg = self.file_mode_config(tmp_path, np.zeros((1, 16, 96)), [0], trial_seconds=7.5)
+        with pytest.raises(cli.ConfigError, match="one 7.5-second trial"):
+            cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "dec")
+
+    @staticmethod
+    def file_mode_config(tmp_path, eeg, labels, trial_seconds=1.5):
+        write_tensor(tmp_path / "eeg.cbtf", eeg)
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        aad_cfg = {
+            "mode": "file",
+            "eeg_path": str(tmp_path / "eeg.cbtf"),
+            "labels_path": str(tmp_path / "labels.json"),
+            "trial_seconds": trial_seconds,
+        }
+        return cli.load_config(write_config(tmp_path, "file.json", aad=aad_cfg))
 
     def test_trial_spans_thirty_seconds(self):
         spans = cli._trial_spans(1200 * 64, 64, 30.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogbeam import stft
 
@@ -12,14 +14,15 @@ class TestConfig:
         assert CFG.frame_length == 512
         assert CFG.hop == 128
         assert CFG.n_bins == 257
-        assert CFG.sample_rate == 16000
 
     def test_hop_must_divide_frame(self):
         with pytest.raises(ValueError):
             stft.StftConfig(frame_length=512, hop=100)
 
-    def test_bin_frequency(self):
-        assert CFG.bin_frequency(16) == pytest.approx(500.0)
+    def test_hop_must_leave_overlap(self):
+        # frame_length / hop < 2 cannot overlap-add the sqrt-Hann pair
+        with pytest.raises(ValueError, match="half"):
+            stft.StftConfig(frame_length=128, hop=128)
 
 
 class TestAnalyze:
@@ -121,3 +124,22 @@ class TestInvariants:
         y = stft.synthesize(stft.analyze(x, cfg), cfg)[0]
         interior = slice(256, 3840 - 256)
         assert np.allclose(y[interior], x[interior], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hop=st.integers(1, 48),
+    ratio=st.integers(2, 8),
+    extra=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_property(hop, ratio, extra, seed):
+    """Any hop dividing frame_length with frame_length / hop >= 2 reconstructs
+    the interior exactly."""
+    fl = hop * ratio
+    cfg = stft.StftConfig(frame_length=fl, hop=hop)
+    x = np.random.default_rng(seed).standard_normal(3 * fl + extra)
+    y = stft.synthesize(stft.analyze(x, cfg), cfg)[0]
+    covered = (x.size - fl) // hop * hop + fl  # last sample any frame reaches
+    interior = slice(fl, covered - fl)
+    np.testing.assert_allclose(y[interior], x[interior], rtol=0, atol=1e-10)

@@ -1,7 +1,12 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogbeam.tensorfile import TensorFileError, read_tensor, write_tensor
+from cogbeam.tensorfile import MAGIC, TensorFileError, read_tensor, write_tensor
 
 
 @pytest.mark.parametrize(
@@ -62,3 +67,54 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(TensorFileError, match="trailing"):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63 + 5,), (2**64 - 1, 2**64 - 1)])
+def test_overflowing_dims_are_truncation(tmp_path, dims):
+    # the element count must not wrap around in fixed-width integers
+    path = tmp_path / "huge.cbtf"
+    path.write_bytes(MAGIC + struct.pack(f"<BBB{len(dims)}Q", 1, 1, len(dims), *dims) + bytes(16))
+    with pytest.raises(TensorFileError, match="truncated payload"):
+        read_tensor(path)
+
+
+# small dims, powers of two whose products wrap fixed-width integers to 0,
+# and arbitrary huge dims
+_DIM = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 2**32, 2**62, 2**63, 2**63 + 5]),
+    st.integers(2**31, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rank=st.one_of(st.integers(0, 4), st.integers(60, 70)),
+    dims=st.lists(_DIM, min_size=70, max_size=70),
+    code=st.integers(0, 5),
+    payload_len=st.one_of(st.none(), st.integers(0, 64)),
+)
+def test_fuzzed_header_reads_exactly_or_raises(tmp_path_factory, rank, dims, code, payload_len):
+    """read_tensor returns the exact array a header and payload describe, or
+    raises TensorFileError naming what is wrong; nothing else escapes."""
+    dims = dims[:rank]
+    itemsize = (4, 8, 8, 16)[code] if code < 4 else 8
+    n_bytes = math.prod(dims) * itemsize
+    if payload_len is None:  # a payload of exactly the promised size, where small
+        payload_len = n_bytes if n_bytes <= 4096 else 0
+    payload = np.random.default_rng(payload_len).bytes(payload_len)
+    path = tmp_path_factory.mktemp("fuzz") / "t.cbtf"
+    path.write_bytes(MAGIC + struct.pack(f"<BBB{rank}Q", 1, code, rank, *dims) + payload)
+    try:
+        array = read_tensor(path)
+    except TensorFileError as exc:
+        if code < 4 and payload_len < n_bytes:
+            assert "truncated payload" in str(exc)
+        elif code < 4 and payload_len > n_bytes:
+            assert "trailing garbage" in str(exc)
+        else:  # of consistent headers, only shapes numpy cannot hold are refused
+            assert code >= 4 or rank > 64 or (0 in dims and max(dims) >= 2**31)
+        return
+    assert code < 4 and payload_len == n_bytes
+    dtype = np.dtype(["<f4", "<f8", "<c8", "<c16"][code])
+    assert array.shape == tuple(dims)
+    assert array.tobytes() == np.frombuffer(payload, dtype=dtype).tobytes()
