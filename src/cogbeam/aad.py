@@ -100,31 +100,43 @@ def train_decoder(eeg_trials, attended_envelopes, lag_range_ms=(0.0, 250.0), rid
     if len(eeg_trials) == 0 or len(eeg_trials) != len(attended_envelopes):
         raise ValueError("need matching, nonempty EEG and envelope trial lists")
     lags = _lag_indices(lag_range_ms, rate)
-    dim = None
-    normal = cross = None
+    terms = [
+        _normal_terms(eeg, env, lags)[1:] for eeg, env in zip(eeg_trials, attended_envelopes)
+    ]
+    n_ch = np.asarray(eeg_trials[0]).shape[0]
+    return Decoder(_ridge_solve(terms, ridge).reshape(n_ch, lags.size), lags, rate)
+
+
+def _normal_terms(eeg, env, lags):
+    """One trial's lagged design matrix ``X`` with its normal-equation terms:
+    ``(X, XᵀX, Xᵀe, rows)``."""
+    eeg = np.asarray(eeg, dtype=float)
+    env = np.asarray(env, dtype=float)
+    if eeg.shape[1] != env.shape[0]:
+        raise ValueError(
+            f"trial length mismatch: EEG {eeg.shape[1]}, envelope {env.shape[0]}"
+        )
+    x = _design_matrix(_zscore(eeg), lags)
+    return x, x.T @ x, x.T @ env[: x.shape[0]], x.shape[0]
+
+
+def _ridge_solve(terms, ridge):
+    """Decoder weights from per-trial ``(XᵀX, Xᵀe, rows)`` terms, summed in
+    the given order."""
+    if not terms:
+        raise ValueError("need at least one training trial")
+    dim = terms[0][0].shape[0]
+    normal = np.zeros((dim, dim))
+    cross = np.zeros(dim)
     n_rows = 0
-    for eeg, env in zip(eeg_trials, attended_envelopes):
-        eeg = np.asarray(eeg, dtype=float)
-        env = np.asarray(env, dtype=float)
-        if eeg.shape[1] != env.shape[0]:
-            raise ValueError(
-                f"trial length mismatch: EEG {eeg.shape[1]}, envelope {env.shape[0]}"
-            )
-        x = _design_matrix(_zscore(eeg), lags)
-        e = env[: x.shape[0]]
-        if dim is None:
-            dim = x.shape[1]
-            normal = np.zeros((dim, dim))
-            cross = np.zeros(dim)
-        normal += x.T @ x
-        cross += x.T @ e
-        n_rows += x.shape[0]
+    for xtx, xte, rows in terms:
+        normal += xtx
+        cross += xte
+        n_rows += rows
     normal /= n_rows
     cross /= n_rows
     penalty = ridge * float(np.mean(np.diag(normal)))
-    w = np.linalg.solve(normal + penalty * np.eye(dim), cross)
-    n_ch = np.asarray(eeg_trials[0]).shape[0]
-    return Decoder(w.reshape(n_ch, lags.size), lags, rate)
+    return np.linalg.solve(normal + penalty * np.eye(dim), cross)
 
 
 def reconstruct_envelope(eeg, decoder):
@@ -314,16 +326,10 @@ def decode_trials(eeg, candidates, labels, lag_range_ms=(0.0, 250.0), ridge=100.
             f"{n_trials} EEG trials, {len(candidates)} candidate sets "
             f"and {len(labels)} labels"
         )
+    lags = _lag_indices(lag_range_ms, rate)
+    per_trial = [_normal_terms(eeg[t], candidates[t][labels[t]], lags) for t in range(n_trials)]
     selections = []
-    for t in range(n_trials):
-        others = [j for j in range(n_trials) if j != t]
-        decoder = train_decoder(
-            [eeg[j] for j in others],
-            [candidates[j][labels[j]] for j in others],
-            lag_range_ms,
-            ridge,
-            rate,
-        )
-        recon = reconstruct_envelope(eeg[t], decoder)
-        selections.append(select_speaker(candidates[t], recon))
+    for t, (x, *_) in enumerate(per_trial):
+        w = _ridge_solve([terms[1:] for j, terms in enumerate(per_trial) if j != t], ridge)
+        selections.append(select_speaker(candidates[t], x @ w))
     return selections

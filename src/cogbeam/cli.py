@@ -50,6 +50,21 @@ class SceneConfig:
     direct_to_reverb_db: float = 5.0
     shadow_db: float = 12.0
 
+    def __post_init__(self):
+        if self.noise_shape not in scene.NOISE_SHAPES:
+            raise ValueError(
+                f"noise_shape must be one of {scene.NOISE_SHAPES}, got {self.noise_shape!r}"
+            )
+        if self.n_speakers < 2:
+            raise ValueError(
+                f"n_speakers must be at least 2 (decoding selects among the "
+                f"speakers), got {self.n_speakers}"
+            )
+        if self.n_mics < 1:
+            raise ValueError(f"n_mics must be at least 1, got {self.n_mics}")
+        if self.duration_s <= 0:
+            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+
 
 @dataclass
 class MaskConfig:
@@ -69,6 +84,12 @@ class AadConfig:
     attended_speaker: int = 0
     eeg_path: str | None = None
     labels_path: str | None = None
+
+    def __post_init__(self):
+        if self.rate < 1:
+            raise ValueError(f"rate must be at least 1 Hz, got {self.rate}")
+        if self.channels < 1:
+            raise ValueError(f"channels must be at least 1, got {self.channels}")
 
 
 @dataclass
@@ -120,6 +141,12 @@ def load_config(path):
         )
     if "seed" not in raw:
         raise ConfigError("config must set an explicit seed")
+    if isinstance(raw.get("beamformer"), dict) and "reference_mic" in raw["beamformer"]:
+        raise ConfigError(
+            "beamformer.reference_mic is not a config option: each speaker's "
+            "reference microphone comes from reference_mics in the scene's "
+            "metadata.json; remove the key"
+        )
     cfg = PipelineConfig(
         seed=int(raw["seed"]),
         sample_rate=int(raw.get("sample_rate", 16000)),
@@ -267,13 +294,15 @@ def cmd_simulate(cfg, out_dir):
     )
     acoustic = scene.AcousticScene(sources, irs, anech, noise, fs)
     ref_mics = _speaker_reference_mics(anech)
+    unit = scene.render(acoustic, 1.0)
     if target is None:
         gain = sc.noise_gain
     else:
         gain = scene.calibrate_noise_gain(
-            acoustic, target, cfg=cfg.metrics, reference_mics=ref_mics
+            unit, target, cfg=cfg.metrics, reference_mics=ref_mics
         )
-    rendered = scene.render(acoustic, gain)
+    rendered = scene.with_noise_gain(unit, gain)
+    del unit
 
     write_wav(out / "mics.wav", rendered.mics, fs)
     write_tensor(out / "components_reverberant.cbtf", rendered.components)
@@ -559,16 +588,11 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
             break
         lo, hi = spans[t]
         attended = rec["attended"]
-        reference = rendered.anechoic[attended, ref_mics[attended], lo:hi]
-        inputs = [
-            metrics.fwssnr(rendered.mics[m, lo:hi], reference, cfg.metrics, fs)
-            for m in range(rendered.mics.shape[0])
-        ]
-        input_db = max(inputs)
-        scores = [
-            metrics.fwssnr(enhanced[i][lo:hi], reference, cfg.metrics, fs)
-            for i in range(n_speakers)
-        ]
+        ref = metrics.FwssnrReference(
+            rendered.anechoic[attended, ref_mics[attended], lo:hi], cfg.metrics, fs
+        )
+        input_db = max(ref.score(mic[lo:hi]) for mic in rendered.mics)
+        scores = [ref.score(enhanced[i][lo:hi]) for i in range(n_speakers)]
         selected = rec["selected"]
         outcome = metrics.selection_outcome(scores, selected)
         outcomes.append(outcome)

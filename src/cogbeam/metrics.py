@@ -7,6 +7,7 @@ over speech-active frames. All comparisons inside this package use the same
 variant, so relative numbers are self-consistent.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "FwssnrConfig",
+    "FwssnrReference",
     "fwssnr",
     "input_fwssnr",
     "DecodeOutcome",
@@ -57,8 +59,10 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def _band_matrix(cfg, n_fft, sample_rate):
-    """Triangular mel-spaced filters (n_bands, n_bins), unit peak."""
+    """Triangular mel-spaced filters (n_bands, n_bins), unit peak; read-only,
+    built once per configuration, frame length and sample rate."""
     lo = cfg.band_range_hz[0]
     hi = cfg.band_range_hz[1] if cfg.band_range_hz[1] is not None else sample_rate / 2
     edges = _mel_to_hz(np.linspace(_hz_to_mel(lo), _hz_to_mel(hi), cfg.n_bands + 2))
@@ -69,6 +73,7 @@ def _band_matrix(cfg, n_fft, sample_rate):
         rising = (bin_hz - left) / max(center - left, 1e-12)
         falling = (right - bin_hz) / max(right - center, 1e-12)
         fb[j] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
+    fb.flags.writeable = False
     return fb
 
 
@@ -80,6 +85,68 @@ def _frame_spectra(signal, frame, hop):
     return np.fft.rfft(frames * np.hanning(frame), axis=-1)
 
 
+class FwssnrReference:
+    """A reference signal framed once, for scoring any number of signals.
+
+    Holds the reference's band powers, its speech-active frames and the
+    per-frame band weights; ``score(test)`` equals ``fwssnr(test, reference)``
+    bit for bit. ``band_power`` and ``score_band_power`` split the score at
+    the residual's band powers, so a caller that can compute those another
+    way (the noise-gain calibration) shares the scoring tail.
+
+    Raises ValueError for a silent reference, one shorter than a frame, or
+    one with no speech-active frame.
+    """
+
+    def __init__(self, reference, cfg=FwssnrConfig(), sample_rate=16000):
+        reference = np.asarray(reference, dtype=float)
+        if not np.any(reference):
+            raise ValueError("reference signal is silent")
+        self.reference = reference
+        self.cfg = cfg
+        self.frame = int(round(cfg.frame_ms * 1e-3 * sample_rate))
+        self.hop = max(1, int(round(self.frame * (1.0 - cfg.overlap))))
+        self._fb_t = _band_matrix(cfg, self.frame, sample_rate).T
+        self.ref_band = self.band_power(reference)  # (frames, bands)
+
+        frame_energy = self.ref_band.sum(axis=1)
+        peak = frame_energy.max()
+        self.active = frame_energy > peak * 10.0 ** (-cfg.active_range_db / 10.0)
+        if not np.any(self.active):
+            raise ValueError("no speech-active frames in reference")
+        self.weights = self.ref_band ** (cfg.weight_exponent / 2.0)  # magnitude ** exponent
+        self.w_sum = self.weights.sum(axis=1)
+        self.w_sum[self.w_sum == 0] = 1.0
+
+    def spectra(self, signal):
+        """Windowed frame spectra (frames, bins) of a signal framed like the reference."""
+        return _frame_spectra(signal, self.frame, self.hop)
+
+    def bands(self, power_spectra):
+        """Band powers (frames, bands) of per-bin powers (frames, bins)."""
+        return power_spectra @ self._fb_t
+
+    def band_power(self, signal):
+        """Band powers (frames, bands) of a signal framed like the reference."""
+        return self.bands(np.abs(self.spectra(signal)) ** 2)
+
+    def score_band_power(self, res_band):
+        """fwSSNR in dB of a residual given by its band powers (frames, bands)."""
+        lo, hi = self.cfg.clamp_db
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr = 10.0 * np.log10(self.ref_band / res_band)
+        snr = np.clip(np.nan_to_num(snr, nan=lo, posinf=np.inf), lo, hi)
+        per_frame = (self.weights * snr).sum(axis=1) / self.w_sum
+        return float(per_frame[self.active].mean())
+
+    def score(self, test):
+        """fwSSNR in dB of ``test`` against the reference."""
+        test = np.asarray(test, dtype=float)
+        if test.shape != self.reference.shape:
+            raise ValueError(f"length mismatch: {test.shape} vs {self.reference.shape}")
+        return self.score_band_power(self.band_power(test - self.reference))
+
+
 def fwssnr(test, reference, cfg=FwssnrConfig(), sample_rate=16000):
     """Frequency-weighted segmental SNR of ``test`` against ``reference`` in dB.
 
@@ -89,32 +156,7 @@ def fwssnr(test, reference, cfg=FwssnrConfig(), sample_rate=16000):
     reference = np.asarray(reference, dtype=float)
     if test.shape != reference.shape:
         raise ValueError(f"length mismatch: {test.shape} vs {reference.shape}")
-    if not np.any(reference):
-        raise ValueError("reference signal is silent")
-
-    frame = int(round(cfg.frame_ms * 1e-3 * sample_rate))
-    hop = max(1, int(round(frame * (1.0 - cfg.overlap))))
-    ref_spec = _frame_spectra(reference, frame, hop)
-    res_spec = _frame_spectra(test - reference, frame, hop)
-    fb = _band_matrix(cfg, frame, sample_rate)
-
-    ref_band = np.abs(ref_spec) ** 2 @ fb.T  # (frames, bands)
-    res_band = np.abs(res_spec) ** 2 @ fb.T
-
-    frame_energy = ref_band.sum(axis=1)
-    peak = frame_energy.max()
-    active = frame_energy > peak * 10.0 ** (-cfg.active_range_db / 10.0)
-    if not np.any(active):
-        raise ValueError("no speech-active frames in reference")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr = 10.0 * np.log10(ref_band / res_band)
-    snr = np.clip(np.nan_to_num(snr, nan=cfg.clamp_db[0], posinf=np.inf), *cfg.clamp_db)
-    weights = ref_band ** (cfg.weight_exponent / 2.0)  # magnitude ** exponent
-    w_sum = weights.sum(axis=1)
-    w_sum[w_sum == 0] = 1.0
-    per_frame = (weights * snr).sum(axis=1) / w_sum
-    return float(per_frame[active].mean())
+    return FwssnrReference(reference, cfg, sample_rate).score(test)
 
 
 def input_fwssnr(rendered, speaker, cfg=FwssnrConfig(), sample_rate=16000, reference_mic=0):
@@ -123,12 +165,8 @@ def input_fwssnr(rendered, speaker, cfg=FwssnrConfig(), sample_rate=16000, refer
     The reference is that speaker's anechoic component at ``reference_mic``;
     the score is the maximum over microphone signals.
     """
-    reference = rendered.anechoic[speaker, reference_mic]
-    scores = [
-        fwssnr(rendered.mics[m], reference, cfg, sample_rate)
-        for m in range(rendered.mics.shape[0])
-    ]
-    return float(max(scores))
+    ref = FwssnrReference(rendered.anechoic[speaker, reference_mic], cfg, sample_rate)
+    return float(max(ref.score(mic) for mic in rendered.mics))
 
 
 class DecodeOutcome(NamedTuple):

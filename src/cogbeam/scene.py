@@ -17,8 +17,10 @@ __all__ = [
     "AcousticScene",
     "RenderedScene",
     "CalibrationError",
+    "NOISE_SHAPES",
     "shorten_pauses",
     "render",
+    "with_noise_gain",
     "calibrate_noise_gain",
     "generate_decorrelated_noise",
     "synthetic_room_irs",
@@ -178,8 +180,21 @@ def render(scene, noise_gain=1.0):
     return RenderedScene(mics, components, anechoic, noise_part, scene.sample_rate)
 
 
+def with_noise_gain(unit, gain):
+    """The scene ``unit`` (rendered at noise gain 1) with its noise scaled by
+    ``gain``: the same bits as rendering its acoustic scene at ``gain``."""
+    noise = gain * unit.noise
+    return RenderedScene(
+        unit.components.sum(axis=0) + noise,
+        unit.components,
+        unit.anechoic,
+        noise,
+        unit.sample_rate,
+    )
+
+
 def calibrate_noise_gain(
-    scene,
+    unit,
     target_fwssnr,
     reference_source=None,
     cfg=None,
@@ -190,39 +205,23 @@ def calibrate_noise_gain(
 ):
     """Bisection on the noise gain until the scene's input fwSSNR hits target.
 
-    ``reference_source`` selects which speaker's input fwSSNR is matched;
-    None averages over all speakers. ``reference_mics`` optionally gives each
-    speaker its own reference microphone (default: microphone 0). Raises
-    CalibrationError when the target lies outside what the gain bounds can
-    reach.
+    ``unit`` is the scene rendered at noise gain 1 (``render(scene, 1.0)``);
+    ``with_noise_gain(unit, gain)`` then gives the calibrated scene without
+    rendering again. ``reference_source`` selects which speaker's input
+    fwSSNR is matched; None averages over all speakers. ``reference_mics``
+    optionally gives each speaker its own reference microphone (default:
+    microphone 0). Raises CalibrationError when the target lies outside what
+    the gain bounds can reach.
     """
-    if scene.noise is None or not np.any(scene.noise):
+    if not np.any(unit.noise):
         raise ValueError("scene has no noise to calibrate")
     cfg = cfg or metrics.FwssnrConfig()
+    n_sources = unit.components.shape[0]
     if reference_mics is None:
-        reference_mics = [0] * scene.n_sources
+        reference_mics = [0] * n_sources
+    speakers = range(n_sources) if reference_source is None else [reference_source]
 
-    unit = render(scene, 1.0)
-    speech_sum = unit.components.sum(axis=0)
-
-    def achieved(gain):
-        rendered = RenderedScene(
-            speech_sum + gain * unit.noise,
-            unit.components,
-            unit.anechoic,
-            gain * unit.noise,
-            scene.sample_rate,
-        )
-        if reference_source is None:
-            vals = [
-                metrics.input_fwssnr(rendered, i, cfg, scene.sample_rate, reference_mics[i])
-                for i in range(scene.n_sources)
-            ]
-            return float(np.mean(vals))
-        return metrics.input_fwssnr(
-            rendered, reference_source, cfg, scene.sample_rate, reference_mics[reference_source]
-        )
-
+    achieved = _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics)
     lo, hi = gain_bounds
     val_lo = achieved(lo)  # quietest noise -> highest fwSSNR
     if val_lo < target_fwssnr - tolerance_db:
@@ -248,6 +247,59 @@ def calibrate_noise_gain(
     raise CalibrationError(
         f"no gain within {tolerance_db} dB of {target_fwssnr} dB after {max_iter} steps"
     )
+
+
+def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
+    """The calibration objective: the mean over ``speakers`` of their input
+    fwSSNR, as a function of the noise gain applied to ``unit``.
+
+    The residual at microphone ``m`` against speaker ``i``'s reference is
+    linear in the gain, ``(speech[m] - ref_i) + gain * noise[m]``, so its band
+    power per frame is the quadratic ``P_ss + 2 gain P_sn + gain**2 P_nn``.
+    The three terms come from one framing of the speech residual and of the
+    noise; an evaluation only computes the quadratic and scores it.
+    """
+    refs = {
+        i: metrics.FwssnrReference(unit.anechoic[i, reference_mics[i]], cfg, unit.sample_rate)
+        for i in speakers
+    }
+    framing = refs[speakers[0]]  # every reference frames and bands alike
+    speech_sum = unit.components.sum(axis=0)
+    # terms[i][m] = (P_ss, P_sn, P_nn) of speaker i at microphone m; one
+    # noise and one residual spectrum are alive at a time
+    terms = {i: [] for i in speakers}
+    for m, noise in enumerate(unit.noise):
+        noise_spec = framing.spectra(noise)
+        p_nn = framing.bands(_power(noise_spec))
+        for i in speakers:
+            speech_spec = framing.spectra(speech_sum[m] - refs[i].reference)
+            cross = speech_spec.real * noise_spec.real + speech_spec.imag * noise_spec.imag
+            terms[i].append((framing.bands(_power(speech_spec)), framing.bands(cross), p_nn))
+            del speech_spec, cross
+
+    def achieved(gain):
+        # max(..., 0): where the residual cancels exactly, rounding can leave
+        # the expanded power just below zero; it must score as a silent
+        # residual (upper clamp), not as NaN (lower clamp)
+        vals = [
+            max(
+                refs[i].score_band_power(
+                    np.maximum(p_ss + 2.0 * gain * p_sn + gain**2 * p_nn, 0.0)
+                )
+                for p_ss, p_sn, p_nn in terms[i]
+            )
+            for i in speakers
+        ]
+        return float(np.mean(vals))
+
+    return achieved
+
+
+def _power(spectra):
+    return spectra.real**2 + spectra.imag**2
+
+
+NOISE_SHAPES = ("white", "speech")
 
 
 def generate_decorrelated_noise(n_channels, length, spectrum_shape="white", sample_rate=16000, seed=0):

@@ -270,6 +270,11 @@ class TestDecodeTrials:
         with pytest.raises(ValueError, match="labels"):
             decode_trials(np.zeros((3, 2, 100)), np.zeros((3, 2, 100)), [0, 1])
 
+    def test_single_trial_has_nothing_to_train_on(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="training trial"):
+            decode_trials(rng.standard_normal((1, 2, 100)), rng.random((1, 2, 100)), [0])
+
 
 class TestEndToEnd:
     def fixed_split_accuracy(self, seed, snr_db, n_trials, n_train, trial_seconds=30.0):

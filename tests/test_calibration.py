@@ -1,0 +1,162 @@
+"""Band-power noise-gain calibration and the precomputed fwSSNR reference,
+checked against the frozen full-fwSSNR bisection in ``calibration_oracle``."""
+
+import numpy as np
+import pytest
+
+import calibration_oracle as oracle
+from cogbeam import metrics, scene
+from cogbeam.metrics import FwssnrConfig, FwssnrReference
+from cogbeam.scene import CalibrationError, calibrate_noise_gain, render, with_noise_gain
+
+FS = 16000
+CFG = FwssnrConfig()
+
+
+def make_scene(n_sources=2, n_mics=3, t60=0.3, duration=2.0, seed=0):
+    sources = [
+        scene.synthetic_speech(duration, FS, pause_every=0.8, pause_length=0.2, seed=seed + i)
+        for i in range(n_sources)
+    ]
+    irs, anech = scene.synthetic_room_irs(
+        n_sources, n_mics, FS, t60=t60, direct_to_reverb_db=5.0, shadow_db=12.0, seed=seed
+    )
+    noise = scene.generate_decorrelated_noise(
+        n_mics, int(duration * FS), "speech", FS, seed=seed + 50
+    )
+    return scene.AcousticScene(sources, irs, anech, noise, FS)
+
+
+CASES = {
+    # name: (scene kwargs, calibration kwargs, targets in dB within reach)
+    "mean-over-speakers": ({"seed": 1}, {"reference_source": None}, (-3.0, -6.0)),
+    "speaker-0": ({"seed": 2}, {"reference_source": 0}, (0.5, 3.5)),
+    "per-speaker-mics": (
+        {"seed": 3},
+        {"reference_source": None, "reference_mics": [0, 2]},
+        (0.5, 3.5),
+    ),
+    "speaker-1-own-mic": (
+        {"seed": 4},
+        {"reference_source": 1, "reference_mics": [1, 2]},
+        (0.5, 3.5),
+    ),
+    "three-speakers": (
+        {"seed": 5, "n_sources": 3, "n_mics": 4},
+        {"reference_source": None, "reference_mics": [0, 2, 3]},
+        (0.0, -3.0),
+    ),
+    "anechoic": ({"seed": 6, "t60": 0.0}, {"reference_source": None}, (0.5, -5.0)),
+}
+
+
+def objective_of(unit, cal_kw):
+    n_sources = unit.components.shape[0]
+    source = cal_kw["reference_source"]
+    speakers = range(n_sources) if source is None else [source]
+    mics = cal_kw.get("reference_mics") or [0] * n_sources
+    return scene._input_fwssnr_of_gain(unit, speakers, CFG, mics), mics
+
+
+class TestAgainstFrozenBisection:
+    @pytest.mark.parametrize(
+        "case,target", [(case, t) for case in sorted(CASES) for t in CASES[case][2]]
+    )
+    def test_same_gain_and_achieved_fwssnr(self, case, target):
+        scene_kw, cal_kw, _ = CASES[case]
+        sc = make_scene(**scene_kw)
+        want_gain, want_db = oracle.calibrate_noise_gain(sc, target, CFG, **cal_kw)
+        unit = render(sc, 1.0)
+        gain = calibrate_noise_gain(unit, target, cfg=CFG, **cal_kw)
+        assert gain == want_gain
+        objective, _ = objective_of(unit, cal_kw)
+        assert objective(gain) == pytest.approx(want_db, abs=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_objective_matches_over_the_gain_range(self, case):
+        scene_kw, cal_kw, _ = CASES[case]
+        unit = render(make_scene(**scene_kw), 1.0)
+        objective, mics = objective_of(unit, cal_kw)
+        for gain in np.geomspace(1e-6, 1e6, 13):
+            want = oracle.achieved_fwssnr(unit, gain, cal_kw["reference_source"], CFG, mics)
+            assert objective(gain) == pytest.approx(want, abs=1e-9)
+
+    def test_unreachable_targets_raise(self):
+        unit = render(make_scene(seed=7), 1.0)
+        with pytest.raises(CalibrationError, match="above reach"):
+            calibrate_noise_gain(unit, 80.0, gain_bounds=(1e-3, 1e3))
+        with pytest.raises(CalibrationError, match="below reach"):
+            calibrate_noise_gain(unit, -80.0, gain_bounds=(1e-3, 1e3))
+        with pytest.raises(CalibrationError, match="after 2 steps"):
+            calibrate_noise_gain(unit, 2.0, 0, tolerance_db=1e-12, max_iter=2)
+
+    def test_silent_noise_rejected(self):
+        sc = make_scene(seed=8)
+        sc.noise = None
+        with pytest.raises(ValueError, match="no noise"):
+            calibrate_noise_gain(render(sc, 1.0), 0.5)
+
+    @pytest.mark.parametrize("gain", [1.0, 3.0, 0.7])
+    def test_cancelling_residual_scores_upper_clamp(self, gain):
+        # noise = -(speech - reference) / gain at every microphone: at that
+        # gain the residual cancels (exactly at gain 1, up to one rounding
+        # otherwise), and its expanded band power is a sum of large terms
+        # that can cancel to just below zero
+        unit = render(make_scene(seed=9, n_mics=2), 1.0)
+        residual = unit.components.sum(axis=0) - unit.anechoic[0, 0]
+        cancelling = scene.RenderedScene(
+            unit.mics, unit.components, unit.anechoic, -residual / gain, unit.sample_rate
+        )
+        objective = scene._input_fwssnr_of_gain(cancelling, [0], CFG, [0, 0])
+        assert objective(gain) == CFG.clamp_db[1]
+        assert oracle.achieved_fwssnr(cancelling, gain, 0, CFG, [0, 0]) == CFG.clamp_db[1]
+        assert objective(0.5 * gain) < CFG.clamp_db[1]
+
+
+class TestRenderOnce:
+    @pytest.mark.parametrize("gain", [0.0, 0.037, 1.0, 2.5])
+    def test_with_noise_gain_is_bitwise_render(self, gain):
+        sc = make_scene(seed=10, t60=0.2)
+        direct = render(sc, gain)
+        rescaled = with_noise_gain(render(sc, 1.0), gain)
+        for name in ("mics", "components", "anechoic", "noise"):
+            np.testing.assert_array_equal(getattr(rescaled, name), getattr(direct, name))
+
+
+class TestFwssnrReference:
+    def signals(self, seed):
+        rng = np.random.default_rng(seed)
+        sc = make_scene(seed=seed, n_mics=2)
+        r = render(sc, 0.4)
+        return r.mics[1] + 0.01 * rng.standard_normal(r.mics.shape[1]), r.anechoic[0, 0]
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_score_bitwise_equals_fwssnr_and_frozen_oracle(self, seed):
+        test, reference = self.signals(seed)
+        ref = FwssnrReference(reference, CFG, FS)
+        score = ref.score(test)
+        assert score == metrics.fwssnr(test, reference, CFG, FS)
+        assert score == oracle.fwssnr(test, reference, CFG, FS)
+
+    def test_input_fwssnr_bitwise_equals_frozen_oracle(self):
+        r = render(make_scene(seed=13, n_sources=3, n_mics=3), 0.3)
+        for speaker, mic in [(0, 0), (1, 2), (2, 1)]:
+            got = metrics.input_fwssnr(r, speaker, CFG, FS, mic)
+            assert got == oracle.input_fwssnr(r.mics, r.anechoic, speaker, CFG, FS, mic)
+
+    def test_zero_residual_scores_upper_clamp(self):
+        _, reference = self.signals(14)
+        assert FwssnrReference(reference, CFG, FS).score(reference) == CFG.clamp_db[1]
+
+    def test_reference_checks(self):
+        with pytest.raises(ValueError, match="silent"):
+            FwssnrReference(np.zeros(FS))
+        ref = FwssnrReference(self.signals(15)[1])
+        with pytest.raises(ValueError, match="length mismatch"):
+            ref.score(np.ones(FS))
+
+    def test_filterbank_built_once_and_read_only(self):
+        a = metrics._band_matrix(CFG, 512, FS)
+        assert metrics._band_matrix(FwssnrConfig(), 512, FS) is a
+        assert not a.flags.writeable
+        np.testing.assert_array_equal(a, oracle._band_matrix(CFG, 512, FS))

@@ -86,6 +86,42 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="stft"):
             cli.load_config(path)
 
+    def test_beamformer_reference_mic_refused(self, tmp_path):
+        path = write_config(tmp_path, beamformer={"iterations": 2, "reference_mic": 1})
+        with pytest.raises(cli.ConfigError, match="reference_mic.*metadata.json"):
+            cli.load_config(path)
+
+    def test_unknown_noise_shape_refused(self, tmp_path):
+        path = write_config(tmp_path, scene={"noise_shape": "pink"})
+        with pytest.raises(cli.ConfigError, match="noise_shape"):
+            cli.load_config(path)
+
+    def test_single_speaker_refused(self, tmp_path):
+        path = write_config(tmp_path, scene={"n_speakers": 1})
+        with pytest.raises(cli.ConfigError, match="n_speakers"):
+            cli.load_config(path)
+
+    def test_no_microphone_refused(self, tmp_path):
+        path = write_config(tmp_path, scene={"n_mics": 0})
+        with pytest.raises(cli.ConfigError, match="n_mics"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("duration", [0.0, -6.0])
+    def test_nonpositive_duration_refused(self, tmp_path, duration):
+        path = write_config(tmp_path, scene={"duration_s": duration})
+        with pytest.raises(cli.ConfigError, match="duration_s"):
+            cli.load_config(path)
+
+    def test_eeg_rate_below_one_refused(self, tmp_path):
+        path = write_config(tmp_path, aad={"rate": 0})
+        with pytest.raises(cli.ConfigError, match="rate"):
+            cli.load_config(path)
+
+    def test_no_eeg_channel_refused(self, tmp_path):
+        path = write_config(tmp_path, aad={"channels": 0})
+        with pytest.raises(cli.ConfigError, match="channels"):
+            cli.load_config(path)
+
     @pytest.mark.parametrize("attended", [-1, 2])
     def test_synth_attended_speaker_range(self, tmp_path, attended):
         path = write_config(tmp_path, aad={"attended_speaker": attended})
@@ -193,20 +229,6 @@ class TestEnhance:
         assert max(solved) == speaker["max_constraint_residual"]
         assert len(speaker["objective_per_bin"]) == 2  # iterations
         assert all(len(row) == n_bins for row in speaker["objective_per_bin"])
-
-    def test_wlcmp_single_speaker_equals_wmpdr_bitwise(self, tmp_path):
-        cfg_w = cli.load_config(
-            write_config(tmp_path, "w.json", scene={"n_speakers": 1}, beamformer_type="wMPDR")
-        )
-        cfg_l = cli.load_config(
-            write_config(tmp_path, "l.json", scene={"n_speakers": 1}, beamformer_type="wLCMP")
-        )
-        cli.cmd_simulate(cfg_w, tmp_path / "scene")
-        cli.cmd_enhance(cfg_w, tmp_path / "scene", tmp_path / "em")
-        cli.cmd_enhance(cfg_l, tmp_path / "scene", tmp_path / "el")
-        assert (tmp_path / "em" / "speaker0.wav").read_bytes() == (
-            tmp_path / "el" / "speaker0.wav"
-        ).read_bytes()
 
     def test_mask_file_route_matches_oracle_route(self, pipeline, tmp_path):
         from cogbeam import masks as masks_mod

@@ -136,7 +136,7 @@ class TestRender:
 class TestCalibrateNoiseGain:
     def test_self_consistent_at_half_db(self):
         sc = two_source_scene(seed=12, t60=0.0, duration=2.0)
-        gain = calibrate_noise_gain(sc, 0.5, reference_source=0)
+        gain = calibrate_noise_gain(render(sc, 1.0), 0.5, reference_source=0)
         from cogbeam import metrics
 
         achieved = metrics.input_fwssnr(render(sc, gain), 0)
@@ -153,13 +153,15 @@ class TestCalibrateNoiseGain:
     def test_unreachable_target_raises(self):
         sc = two_source_scene(seed=14, t60=0.0, duration=2.0)
         with pytest.raises(CalibrationError):
-            calibrate_noise_gain(sc, 80.0, reference_source=0, gain_bounds=(1e-3, 1e3))
+            calibrate_noise_gain(
+                render(sc, 1.0), 80.0, reference_source=0, gain_bounds=(1e-3, 1e3)
+            )
 
     def test_noise_free_scene_rejected(self):
         sc = two_source_scene(seed=15)
         sc.noise = np.zeros_like(sc.noise)
         with pytest.raises(ValueError, match="noise"):
-            calibrate_noise_gain(sc, 0.5)
+            calibrate_noise_gain(render(sc, 1.0), 0.5)
 
 
 class TestDecorrelatedNoise:
