@@ -21,6 +21,7 @@ Shapes used throughout (per bin; stacks add a leading bin axis):
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,19 +150,22 @@ class BeamformerOutput:
 _CONTAINED = (np.linalg.LinAlgError, DegenerateMaskError, ConstraintRankError)
 
 
-def _stack_frames(y, frame_delay, l_w):
+def _stack_frames(y, frame_delay, l_w, buffer=None):
     """(..., K, M) frames -> (..., K, M * (l_w - frame_delay + 1)) stacked
-    observations.
+    observations, held in the leading elements of the flat complex
+    ``buffer`` when given.
 
     Column blocks hold the current frame followed by the frames delayed by
     ``frame_delay .. l_w - 1``; frames before the signal start are zero.
     """
     *lead, k, m = y.shape
     taps = [0] + list(range(frame_delay, l_w))
-    out = np.zeros((*lead, k, m * len(taps)), dtype=complex)
+    shape = (*lead, k, m * len(taps))
+    out = np.empty(shape, dtype=complex) if buffer is None else _view(buffer, shape)
     for j, tau in enumerate(taps):
-        if tau < k:
-            out[..., tau:, j * m : (j + 1) * m] = y[..., : k - tau, :]
+        block = out[..., j * m : (j + 1) * m]
+        block[..., :tau, :] = 0
+        block[..., tau:, :] = y[..., : max(k - tau, 0), :]
     return out
 
 
@@ -190,13 +194,15 @@ def weighted_correlations(stacked, lam, n_channels):
     return _weighted_correlations(stacked, stacked.conj(), lam, n_channels)
 
 
-def _weighted_correlations(stacked, stacked_conj, lam, m):
+def _weighted_correlations(stacked, stacked_conj, lam, m, buffer=None):
     """weighted_correlations with the conjugate supplied: the solve reuses
-    one conjugate of the stacked frames over all rounds."""
+    one conjugate of the stacked frames over all rounds. The scaled frames
+    are held in the flat complex ``buffer`` when given."""
     k = stacked.shape[-2]
+    out = None if buffer is None else _view(buffer, stacked.shape)
     # numpy divides complex by real as a product with the reciprocal; the
     # explicit product gives the same bits at half the cost
-    scaled = stacked * (1.0 / np.asarray(lam, dtype=float))[..., None]
+    scaled = np.multiply(stacked, (1.0 / np.asarray(lam, dtype=float))[..., None], out=out)
     r_full = _hermitian_part(scaled.swapaxes(-1, -2) @ stacked_conj / k)
     return r_full[..., m:, m:], r_full[..., m:, :m], r_full
 
@@ -296,14 +302,16 @@ def _constraint_set(target, interferers, delta):
     return constraints, np.broadcast_to(response, target.shape[:-1] + response.shape)
 
 
-def _round(inputs, lam, cfg, delta):
+def _round(inputs, lam, cfg, delta, scaled=None):
     """One round of the shared solve for a stack of bins.
 
     ``inputs`` holds per-bin arrays with a leading bin axis: ``frames``;
     when predicting, ``stacked`` and ``stacked_conj``; and the steering
     source, either ``mask`` (plus optional ``interferer_masks`` (bins, U, K))
     or ``steering`` and ``noise_cov`` (plus optional ``interferer_steering``
-    (bins, M, U)). Returns (z, G or None, q, constraints, response).
+    (bins, M, U)). ``scaled``, when given, is the flat buffer that holds
+    the variance-scaled stacked frames. Returns (z, G or None, q,
+    constraints, response).
     """
     y = inputs["frames"]
     m = y.shape[-1]
@@ -311,7 +319,9 @@ def _round(inputs, lam, cfg, delta):
     d = y
     if "stacked" in inputs:
         stacked = inputs["stacked"]
-        r_delay, p_cross, _ = _weighted_correlations(stacked, inputs["stacked_conj"], lam, m)
+        r_delay, p_cross, _ = _weighted_correlations(
+            stacked, inputs["stacked_conj"], lam, m, scaled
+        )
         derev = linalg.hermitian_solve(r_delay, p_cross, cfg.ridge)
         d = y - stacked[..., m:] @ derev.conj()
     if "noise_cov" in inputs:
@@ -333,14 +343,15 @@ def _round(inputs, lam, cfg, delta):
     return z, derev, weights, constraints, response
 
 
-def _solve_chunk(inputs, cfg, rounds, delta):
+def _solve_chunk(inputs, cfg, rounds, delta, scaled=None):
     """Run the shared solve on one chunk, containing failures per bin.
 
     A round that raises for the chunk is repeated bin by bin: the bins that
     raise again are dropped with their (local bin, round, message) record,
     the others keep the results of their single-bin run, which are the
-    values the chunk run computes for them. Returns (surviving local bins,
-    their final-round outputs, (rounds, bins) objective, failures).
+    values the chunk run computes for them. ``scaled`` is passed to every
+    round. Returns (surviving local bins, their final-round outputs,
+    (rounds, bins) objective, failures).
     """
     y = inputs["frames"]
     n_bins = y.shape[0]
@@ -357,13 +368,13 @@ def _solve_chunk(inputs, cfg, rounds, delta):
     for it in range(rounds):
         sub = inputs if alive.size == n_bins else {k: v[alive] for k, v in inputs.items()}
         try:
-            out = _round(sub, lam[alive], cfg, delta)
+            out = _round(sub, lam[alive], cfg, delta, scaled)
         except _CONTAINED:
             parts, keep = [], []
             for b in alive:
                 try:
                     single = {k: v[[b]] for k, v in inputs.items()}
-                    parts.append(_round(single, lam[[b]], cfg, delta))
+                    parts.append(_round(single, lam[[b]], cfg, delta, scaled))
                     keep.append(b)
                 except _CONTAINED as exc:
                     failures.append((b, it, str(exc)))
@@ -393,11 +404,17 @@ def _chunks(keys, bytes_per_bin):
             yield key, bins[lo : lo + per]
 
 
-def _chunk_frames(spec, bins, cfg, l_w):
+def _chunk_frames(spec, bins, cfg, l_w, buffer=None):
     """(bins, K, M) frames of the given bins of an (M, K, F) spectrogram and
-    their stacked observations (None without a prediction filter, l_w 0)."""
+    their stacked observations (None without a prediction filter, l_w 0),
+    held in the flat complex ``buffer`` when given."""
     frames = np.ascontiguousarray(spec[:, :, bins].transpose(2, 1, 0))
-    return frames, _stack_frames(frames, cfg.frame_delay, l_w) if l_w else None
+    return frames, _stack_frames(frames, cfg.frame_delay, l_w, buffer) if l_w else None
+
+
+def _view(buffer, shape):
+    """The leading elements of a flat buffer as a C-contiguous array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _passthrough_state(m, l_w, reference_mic):
@@ -430,12 +447,26 @@ def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
     objective_per_bin = np.full((rounds if convolutional else 0, f), np.nan)
     residuals = np.full(f, np.nan)
     failures = []
-    for l_w, bins in _chunks(keys, lambda l_w: _bin_bytes(k, m, l_w, cfg)):
+
+    def bin_bytes(l_w):
+        return _bin_bytes(k, m, l_w, cfg)
+
+    chunks = list(_chunks(keys, bin_bytes))
+    # The stacked frames, their conjugate and their variance-scaled copy are
+    # held in three flat buffers sized for the largest chunk and reused by
+    # every chunk and round: a fresh array of that size faults its pages in
+    # again on each allocation.
+    size = max((bins.size * bin_bytes(l_w) // 16 for l_w, bins in chunks if l_w), default=0)
+    stacked_buf, conj_buf, scaled_buf = (np.empty(size, dtype=complex) for _ in range(3))
+    for l_w, bins in chunks:
         inputs = {name: values[bins] for name, values in per_bin.items()}
-        inputs["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w)
+        inputs["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w, stacked_buf)
         if stacked is not None:
-            inputs["stacked"], inputs["stacked_conj"] = stacked, stacked.conj()
-        alive, out, objective, chunk_failures = _solve_chunk(inputs, cfg, rounds, delta)
+            inputs["stacked"] = stacked
+            inputs["stacked_conj"] = np.conjugate(stacked, out=_view(conj_buf, stacked.shape))
+        alive, out, objective, chunk_failures = _solve_chunk(
+            inputs, cfg, rounds, delta, scaled_buf
+        )
         failures += [(int(bins[b]), it, msg) for b, it, msg in chunk_failures]
         if out is None:
             continue

@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate -> enhance -> decode -> evaluate.
 
 Configuration is a single JSON file (documented in the README); every
-command is deterministic given (config, seed). Artifacts cross stage
-boundaries as float32 WAV, CBTF tensors and JSON records, so each stage can
-also be driven by externally produced files.
+command is deterministic given (config, seed), and ``enhance`` also given
+the BLAS thread count. Artifacts cross stage boundaries as float32 WAV, CBTF
+tensors and JSON records, so each stage can also be driven by externally
+produced files. Each stage reads only the scene files it uses.
 """
 
 import argparse
@@ -21,7 +22,20 @@ from .metrics import FwssnrConfig
 from .stft import StftConfig
 from .tensorfile import read_tensor, write_tensor
 
-BEAMFORMER_TYPES = ("wMPDR", "wLCMP", "MPDR", "LCMP", "MVDR", "LCMV")
+# Beamformer type -> (beamform entry point, steering source, one response
+# constraint per interfering speaker). The steering source sets the scene
+# tensors enhance reads beside mics.wav: "masks" reads the reverberant
+# components and the noise, and only for oracle masks; "direct" reads the
+# direct-path responses (irs_anechoic.cbtf) and the noise, for its covariance.
+_BEAMFORMERS = {
+    "wMPDR": ("run_conv_beamformer", "masks", False),
+    "wLCMP": ("run_conv_beamformer", "masks", True),
+    "MPDR": ("mpdr", "masks", False),
+    "LCMP": ("lcmp", "masks", True),
+    "MVDR": ("mvdr_lcmv", "direct", False),
+    "LCMV": ("mvdr_lcmv", "direct", True),
+}
+BEAMFORMER_TYPES = tuple(_BEAMFORMERS)
 CONDITION_PRESETS = {
     # (t60 seconds, target input fwSSNR dB)
     "anechoic-noisy": (0.0, 2.9),
@@ -206,23 +220,10 @@ def _check_trial_count(cfg):
         )
 
 
-def write_wav(path, signal, sample_rate, bits=32):
-    """Write (M, N) float audio; 32-bit float by default, 16-bit gets
-    triangular dither before quantization."""
+def write_wav(path, signal, sample_rate):
+    """Write (M, N) or (N,) float audio as a 32-bit float WAV."""
     signal = np.atleast_2d(np.asarray(signal, dtype=np.float64))
-    data = signal.T
-    if bits == 32:
-        scipy.io.wavfile.write(path, sample_rate, data.astype(np.float32))
-        return {"format": "float32", "dithered": False}
-    if bits == 16:
-        rng = np.random.default_rng(0xD17)
-        dither = (rng.random(data.shape) - rng.random(data.shape)) / 32768.0
-        scaled = np.clip(data + dither, -1.0, 1.0 - 1.0 / 32768.0)
-        scipy.io.wavfile.write(
-            path, sample_rate, np.round(scaled * 32768.0).astype(np.int16)
-        )
-        return {"format": "int16", "dithered": True}
-    raise ValueError(f"unsupported bit depth {bits}")
+    scipy.io.wavfile.write(path, sample_rate, signal.T.astype(np.float32))
 
 
 def read_wav(path):
@@ -333,48 +334,60 @@ def cmd_simulate(cfg, out_dir):
     return meta
 
 
-def _load_scene_dir(scene_dir):
+def _read_metadata(scene_dir):
+    return json.loads((Path(scene_dir) / "metadata.json").read_text())
+
+
+def _reference_rows(scene_dir, reference_mics):
+    """Each speaker's direct-path component at its reference microphone,
+    (I, N): the rows of components_anechoic.cbtf that decode and evaluate use."""
+    anechoic = read_tensor(Path(scene_dir) / "components_anechoic.cbtf")
+    return anechoic[np.arange(len(reference_mics)), reference_mics]
+
+
+def _oracle_masks(scene_dir, stft_cfg):
+    """Oracle ratio masks of the scene pooled over microphones, (I + 1, K, F).
+
+    Built one microphone at a time: a single-channel analysis has the bits
+    of that microphone's row of the multichannel one, and the masks summed
+    in microphone order, then divided by M, have the bits of
+    ``masks.average_masks`` over all microphones. Oracle masks share the
+    construction's source order on every microphone, so no permutation
+    matching is needed before pooling.
+    """
     scene_dir = Path(scene_dir)
-    mics, rate = read_wav(scene_dir / "mics.wav")
-    rendered = scene.RenderedScene(
-        mics,
-        read_tensor(scene_dir / "components_reverberant.cbtf"),
-        read_tensor(scene_dir / "components_anechoic.cbtf"),
-        read_tensor(scene_dir / "noise.cbtf"),
-        rate,
-    )
-    meta = json.loads((scene_dir / "metadata.json").read_text())
-    meta["_scene_dir"] = str(scene_dir)
-    return rendered, meta
-
-
-def _mask_set(cfg, rendered, mix_spec):
-    if cfg.masks.source == "file":
-        loaded = read_tensor(Path(cfg.masks.path))
-        if loaded.ndim == 4:
-            # per-microphone estimates carry a speaker-permutation ambiguity:
-            # resolve it against the first microphone, then pool
-            per_mic = [np.clip(loaded[m], 0.0, 1.0) for m in range(loaded.shape[0])]
-            mask_set = masks.average_masks(masks.align_masks(per_mic, 0))
+    components = read_tensor(scene_dir / "components_reverberant.cbtf")
+    noise = read_tensor(scene_dir / "noise.cbtf")
+    pooled = None
+    for m in range(noise.shape[0]):
+        mask = masks.oracle_irm(
+            [stft.analyze(c[m], stft_cfg) for c in components],
+            stft.analyze(noise[m], stft_cfg),
+            0,
+        )
+        if pooled is None:
+            pooled = mask
         else:
-            mask_set = masks.load_masks(cfg.masks.path)
-        if mask_set.shape[1:] != mix_spec.shape[1:]:
-            raise ConfigError(
-                f"mask tensor {mask_set.shape} does not match spectrogram "
-                f"frames/bins {mix_spec.shape[1:]}"
-            )
-        return mask_set
-    comps = [
-        stft.analyze(rendered.components[i], cfg.stft)
-        for i in range(rendered.components.shape[0])
-    ]
-    noise_spec = stft.analyze(rendered.noise, cfg.stft)
-    # oracle masks share the construction's source order on every microphone,
-    # so no permutation matching is needed before pooling
-    per_mic = [
-        masks.oracle_irm(comps, noise_spec, m) for m in range(mix_spec.shape[0])
-    ]
-    return masks.average_masks(per_mic)
+            pooled += mask
+    pooled /= noise.shape[0]
+    return pooled
+
+
+def _file_masks(path, frames_bins):
+    loaded = read_tensor(Path(path))
+    if loaded.ndim == 4:
+        # per-microphone estimates carry a speaker-permutation ambiguity:
+        # resolve it against the first microphone, then pool
+        per_mic = [np.clip(loaded[m], 0.0, 1.0) for m in range(loaded.shape[0])]
+        mask_set = masks.average_masks(masks.align_masks(per_mic, 0))
+    else:
+        mask_set = masks.load_masks(path)
+    if mask_set.shape[1:] != frames_bins:
+        raise ConfigError(
+            f"mask tensor {mask_set.shape} does not match spectrogram "
+            f"frames/bins {frames_bins}"
+        )
+    return mask_set
 
 
 def _anechoic_steering(anechoic_irs, cfg, speaker, reference_mic):
@@ -389,63 +402,65 @@ def _anechoic_steering(anechoic_irs, cfg, speaker, reference_mic):
     return (spectra / ref).T
 
 
-def _noise_covariance(rendered, cfg):
-    """Per-bin noise covariance from the stored noise component: (bins, mics, mics)."""
-    noise_spec = stft.analyze(rendered.noise, cfg.stft)
+def _noise_covariance(noise, stft_cfg):
+    """Per-bin covariance of the (M, N) noise component: (bins, mics, mics)."""
+    noise_spec = stft.analyze(noise, stft_cfg)
     frames = noise_spec.transpose(2, 1, 0)  # (bins, frames, mics)
     cov = frames.swapaxes(-1, -2) @ frames.conj() / frames.shape[1]
     return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
 def cmd_enhance(cfg, scene_dir, out_dir):
-    """Run the configured beamformer once per speaker; write WAV outputs."""
+    """Run the configured beamformer once per speaker; write WAV outputs.
+
+    Reads mics.wav and the scene tensors the beamformer type's steering
+    needs (``_BEAMFORMERS``); oracle masks are built before the mixture is
+    analyzed, and no scene tensor is held while beamforming.
+    """
     _check_trial_count(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rendered, meta = _load_scene_dir(scene_dir)
+    scene_dir = Path(scene_dir)
+    meta = _read_metadata(scene_dir)
     fs = meta["sample_rate"]
-    mix_spec = stft.analyze(rendered.mics, cfg.stft)
-    mask_set = _mask_set(cfg, rendered, mix_spec)
     n_speakers = meta["n_speakers"]
     ref_mics = meta["reference_mics"]
 
     kind = cfg.beamformer_type
+    entry, source, constrained = _BEAMFORMERS[kind]
+    if source == "masks" and cfg.masks.source == "oracle":
+        mask_set = _oracle_masks(scene_dir, cfg.stft)
+    if source == "direct":
+        noise_cov = _noise_covariance(read_tensor(scene_dir / "noise.cbtf"), cfg.stft)
+        anech_irs = read_tensor(scene_dir / "irs_anechoic.cbtf")
+    mix_spec = stft.analyze(read_wav(scene_dir / "mics.wav")[0], cfg.stft)
+    if source == "masks" and cfg.masks.source == "file":
+        mask_set = _file_masks(cfg.masks.path, mix_spec.shape[1:])
+
     diag_all = {}
     for i in range(n_speakers):
         bf_cfg = beamform.ConvBeamformerConfig(
             **{**asdict(cfg.beamformer), "reference_mic": ref_mics[i]}
         )
-        target = mask_set[i]
-        others = [mask_set[j] for j in range(n_speakers) if j != i]
-        if kind == "wMPDR":
-            result = beamform.run_conv_beamformer(
-                mix_spec, target, cfg=bf_cfg, mode="wmpdr", sample_rate=fs
-            )
-        elif kind == "wLCMP":
-            result = beamform.run_conv_beamformer(
-                mix_spec, target, others, bf_cfg, mode="wlcmp", sample_rate=fs
-            )
-        elif kind == "MPDR":
-            result = beamform.mpdr(mix_spec, target, bf_cfg)
-        elif kind == "LCMP":
-            result = beamform.lcmp(mix_spec, target, others, cfg=bf_cfg)
-        else:  # MVDR / LCMV with oracle anechoic steering and noise stats
-            anech_irs = read_tensor(Path(meta["_scene_dir"]) / "irs_anechoic.cbtf")
-            steering = _anechoic_steering(anech_irs, cfg, i, ref_mics[i])
-            noise_cov = _noise_covariance(rendered, cfg)
-            interferer = None
-            delta = None
-            if kind == "LCMV":
+        others = [j for j in range(n_speakers) if j != i]
+        if source == "masks":
+            inputs = {"target_mask": mask_set[i]}
+            if constrained:
+                inputs["interferer_masks"] = [mask_set[j] for j in others]
+        else:
+            inputs = {
+                "steering": _anechoic_steering(anech_irs, cfg, i, ref_mics[i]),
+                "noise_cov": noise_cov,
+            }
+            if constrained:
                 others_steer = [
-                    _anechoic_steering(anech_irs, cfg, j, ref_mics[i])
-                    for j in range(n_speakers)
-                    if j != i
+                    _anechoic_steering(anech_irs, cfg, j, ref_mics[i]) for j in others
                 ]
-                interferer = np.stack(others_steer, axis=2)  # (bins, mics, U)
-                delta = bf_cfg.delta
-            result = beamform.mvdr_lcmv(
-                mix_spec, steering, noise_cov, delta, interferer, bf_cfg
-            )
+                inputs["interferer_steering"] = np.stack(others_steer, axis=2)  # (bins, mics, U)
+        if entry == "run_conv_beamformer":
+            inputs.update(mode="wlcmp" if constrained else "wmpdr", sample_rate=fs)
+        # looked up at call time, so a wrapper installed on the module applies
+        result = getattr(beamform, entry)(mix_spec, cfg=bf_cfg, **inputs)
         signal = stft.synthesize(result.z[None], cfg.stft)[0]
         write_wav(out / f"speaker{i}.wav", signal, fs)
         diag = result.diagnostics
@@ -486,10 +501,9 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
     _check_trial_count(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rendered, meta = _load_scene_dir(scene_dir)
+    meta = _read_metadata(scene_dir)
     fs = meta["sample_rate"]
     n_speakers = meta["n_speakers"]
-    ref_mics = meta["reference_mics"]
     ac = cfg.aad
 
     enhanced = _read_enhanced(enhance_dir, n_speakers)
@@ -504,11 +518,9 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
 
     if ac.mode == "synth":
         # listener-side envelopes come from the clean direct-path components
+        references = _reference_rows(scene_dir, meta["reference_mics"])
         clean_envs = np.stack(
-            [
-                aad.extract_envelope(rendered.anechoic[i, ref_mics[i]][:n], fs, ac.rate)
-                for i in range(n_speakers)
-            ]
+            [aad.extract_envelope(row[:n], fs, ac.rate) for row in references]
         )
         eeg, labels = aad.make_synthetic_trial_set(
             clean_envs[:, : spans[-1][1]],
@@ -563,13 +575,14 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
     envelope-based and best-delta selection, and chance bounds."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rendered, meta = _load_scene_dir(scene_dir)
+    meta = _read_metadata(scene_dir)
     fs = meta["sample_rate"]
     n_speakers = meta["n_speakers"]
-    ref_mics = meta["reference_mics"]
+    references = _reference_rows(scene_dir, meta["reference_mics"])
+    mics = read_wav(Path(scene_dir) / "mics.wav")[0]
 
     enhanced = _read_enhanced(enhance_dir, n_speakers)
-    n = min(min(map(len, enhanced)), rendered.mics.shape[1])
+    n = min(min(map(len, enhanced)), mics.shape[1])
 
     records = [
         json.loads(line)
@@ -588,10 +601,8 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
             break
         lo, hi = spans[t]
         attended = rec["attended"]
-        ref = metrics.FwssnrReference(
-            rendered.anechoic[attended, ref_mics[attended], lo:hi], cfg.metrics, fs
-        )
-        input_db = max(ref.score(mic[lo:hi]) for mic in rendered.mics)
+        ref = metrics.FwssnrReference(references[attended, lo:hi], cfg.metrics, fs)
+        input_db = max(ref.score(mic[lo:hi]) for mic in mics)
         scores = [ref.score(enhanced[i][lo:hi]) for i in range(n_speakers)]
         selected = rec["selected"]
         outcome = metrics.selection_outcome(scores, selected)

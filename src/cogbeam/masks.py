@@ -30,17 +30,18 @@ def oracle_irm(components, noise, mic):
     share of the total, the last plane holds the noise share, and bins where
     everything is zero get the uniform value ``1 / (I + 1)``.
     """
-    mags = [np.abs(np.asarray(c)[mic]) for c in components]
-    mags.append(np.abs(np.asarray(noise)[mic]))
-    shapes = {m.shape for m in mags}
+    planes = [np.asarray(c)[mic] for c in components] + [np.asarray(noise)[mic]]
+    shapes = {p.shape for p in planes}
     if len(shapes) != 1:
         raise ValueError(f"component spectrogram shapes disagree: {shapes}")
-    stack = np.stack(mags)
-    total = stack.sum(axis=0)
-    n_sources = stack.shape[0]
+    # one (I + 1, K, F) array holds the magnitudes, then the masks
+    masks = np.empty((len(planes),) + planes[0].shape)
+    for plane, out in zip(planes, masks):
+        np.abs(plane, out=out)
+    total = masks.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        masks = stack / total
-    masks[:, total == 0] = 1.0 / n_sources
+        masks /= total
+    masks[:, total == 0] = 1.0 / len(planes)
     return masks
 
 

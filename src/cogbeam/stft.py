@@ -64,11 +64,8 @@ def analyze(signal, cfg):
         raise ValueError(
             f"signal length {n} shorter than one frame ({cfg.frame_length})"
         )
-    k = (n - cfg.frame_length) // cfg.hop + 1
-    win = _window(cfg)
-    starts = cfg.hop * np.arange(k)
-    idx = starts[:, None] + np.arange(cfg.frame_length)[None, :]
-    frames = signal[:, idx] * win
+    windows = np.lib.stride_tricks.sliding_window_view(signal, cfg.frame_length, axis=-1)
+    frames = windows[:, :: cfg.hop] * _window(cfg)
     return np.fft.rfft(frames, axis=-1)
 
 

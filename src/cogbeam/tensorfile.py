@@ -13,6 +13,7 @@ The format is lossless: ``read_tensor(write_tensor(x)) == x`` bit for bit.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -54,39 +55,41 @@ def write_tensor(path, array):
 
 
 def read_tensor(path):
-    """Read a CBTF tensor; raises TensorFileError on any format violation."""
+    """Read a CBTF tensor; raises TensorFileError on any format violation.
+
+    The payload is read straight into the returned array, so the file's
+    bytes are held once, not once more as a buffer to copy from.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 7:
-        raise TensorFileError(
-            f"truncated header: need at least 7 bytes, file has {len(data)}"
-        )
-    if data[:4] != MAGIC:
-        raise TensorFileError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, code, rank = struct.unpack("<BBB", data[4:7])
-    if version != VERSION:
-        raise TensorFileError(f"unsupported version {version}")
-    if code not in _CODE_DTYPES:
-        raise TensorFileError(f"unknown dtype code {code}")
-    dims_end = 7 + 8 * rank
-    if len(data) < dims_end:
-        raise TensorFileError(
-            f"truncated dims: missing {dims_end - len(data)} bytes"
-        )
-    dims = struct.unpack(f"<{rank}Q", data[7:dims_end])
-    dtype = _CODE_DTYPES[code].newbyteorder("<")
-    n_bytes = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
-    payload = data[dims_end:]
-    if len(payload) < n_bytes:
-        raise TensorFileError(
-            f"truncated payload: missing {n_bytes - len(payload)} bytes"
-        )
-    if len(payload) > n_bytes:
-        raise TensorFileError(
-            f"trailing garbage: {len(payload) - n_bytes} extra bytes"
-        )
-    try:
-        array = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    except ValueError as exc:  # over 64 axes, or a zero-size shape numpy cannot hold
-        raise TensorFileError(f"unsupported shape {dims}: {exc}") from None
-    return array.astype(_CODE_DTYPES[code], copy=True)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(7)
+        if len(head) < 7:
+            raise TensorFileError(
+                f"truncated header: need at least 7 bytes, file has {len(head)}"
+            )
+        if head[:4] != MAGIC:
+            raise TensorFileError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        version, code, rank = struct.unpack("<BBB", head[4:7])
+        if version != VERSION:
+            raise TensorFileError(f"unsupported version {version}")
+        if code not in _CODE_DTYPES:
+            raise TensorFileError(f"unknown dtype code {code}")
+        dims_end = 7 + 8 * rank
+        if size < dims_end:
+            raise TensorFileError(f"truncated dims: missing {dims_end - size} bytes")
+        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        dtype = _CODE_DTYPES[code].newbyteorder("<")
+        n_bytes = math.prod(dims) * dtype.itemsize  # Python ints: no overflow
+        payload = size - dims_end
+        if payload < n_bytes:
+            raise TensorFileError(f"truncated payload: missing {n_bytes - payload} bytes")
+        if payload > n_bytes:
+            raise TensorFileError(f"trailing garbage: {payload - n_bytes} extra bytes")
+        try:
+            array = np.empty(dims, dtype=dtype)
+        except ValueError as exc:  # over 64 axes, or a zero-size shape numpy cannot hold
+            raise TensorFileError(f"unsupported shape {dims}: {exc}") from None
+        got = fh.readinto(array.reshape(-1).view(np.uint8))
+    if got != n_bytes:  # the file shrank after its size was taken
+        raise TensorFileError(f"truncated payload: missing {n_bytes - got} bytes")
+    return array if array.dtype.isnative else array.astype(_CODE_DTYPES[code])

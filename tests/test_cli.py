@@ -232,12 +232,9 @@ class TestEnhance:
 
     def test_mask_file_route_matches_oracle_route(self, pipeline, tmp_path):
         from cogbeam import masks as masks_mod
-        from cogbeam import stft as stft_mod
 
         root, cfg, _ = pipeline
-        rendered, meta = cli._load_scene_dir(root / "scene")
-        mix = stft_mod.analyze(rendered.mics, cfg.stft)
-        mask_set = cli._mask_set(cfg, rendered, mix)
+        mask_set = cli._oracle_masks(root / "scene", cfg.stft)
         mask_path = tmp_path / "masks.cbtf"
         masks_mod.store_masks(mask_set, mask_path)
 
@@ -248,6 +245,29 @@ class TestEnhance:
         assert (tmp_path / "enh_file" / "speaker0.wav").read_bytes() == (
             root / "enh" / "speaker0.wav"
         ).read_bytes()
+
+    @pytest.mark.parametrize("n_speakers", [2, 3])
+    def test_streamed_oracle_masks_match_all_mic_construction(self, tmp_path, n_speakers):
+        from cogbeam import masks as masks_mod
+        from cogbeam import stft as stft_mod
+
+        cfg = cli.load_config(
+            write_config(tmp_path, scene={"n_speakers": n_speakers, "duration_s": 3.0})
+        )
+        cli.cmd_simulate(cfg, tmp_path / "scene")
+        # the reference: every component's multichannel spectrogram at once,
+        # one mask set per microphone, then their mean
+        comps = read_tensor(tmp_path / "scene" / "components_reverberant.cbtf")
+        noise = read_tensor(tmp_path / "scene" / "noise.cbtf")
+        comp_specs = [stft_mod.analyze(c, cfg.stft) for c in comps]
+        noise_spec = stft_mod.analyze(noise, cfg.stft)
+        per_mic = [
+            masks_mod.oracle_irm(comp_specs, noise_spec, m) for m in range(noise.shape[0])
+        ]
+        reference = masks_mod.average_masks(per_mic)
+        streamed = cli._oracle_masks(tmp_path / "scene", cfg.stft)
+        assert streamed.shape == (n_speakers + 1,) + noise_spec.shape[1:]
+        assert np.array_equal(streamed, reference)
 
     @pytest.mark.parametrize("kind", ["MPDR", "LCMP", "MVDR", "LCMV"])
     def test_conventional_types_run(self, pipeline, tmp_path, kind):
@@ -396,17 +416,14 @@ class TestThreeSpeakers:
         # other talker's clean signal, speaker 2's speaker 0's clean signal.
         # Selecting output 0 for attended speaker 0 beats output 1 but not
         # output 2, so neither the selection nor the oracle choice is correct.
-        rendered, meta = cli._load_scene_dir(tmp_path / "scene")
-        ref = meta["reference_mics"]
+        mics, rate = cli.read_wav(tmp_path / "scene" / "mics.wav")
+        anechoic = read_tensor(tmp_path / "scene" / "components_anechoic.cbtf")
+        ref = json.loads((tmp_path / "scene" / "metadata.json").read_text())["reference_mics"]
         fixed = tmp_path / "fixed"
         fixed.mkdir()
-        signals = [
-            rendered.mics[ref[0]],
-            rendered.anechoic[1, ref[0]],
-            rendered.anechoic[0, ref[0]],
-        ]
+        signals = [mics[ref[0]], anechoic[1, ref[0]], anechoic[0, ref[0]]]
         for i, signal in enumerate(signals):
-            cli.write_wav(fixed / f"speaker{i}.wav", signal, meta["sample_rate"])
+            cli.write_wav(fixed / f"speaker{i}.wav", signal, rate)
         dec = tmp_path / "dec_fixed"
         dec.mkdir()
         with open(dec / "trials.jsonl", "w") as fh:
@@ -419,6 +436,59 @@ class TestThreeSpeakers:
             assert not row["correct"]
         assert fixed_report["aad_accuracy_pct"] == 0.0
         assert fixed_report["oracle_aad_accuracy_pct"] == 0.0
+
+
+class TestReadSets:
+    """Each stage opens only the scene files it uses."""
+
+    @staticmethod
+    def opened_by(monkeypatch, stage, *args):
+        opened = []
+        for name in ("read_tensor", "read_wav"):
+            original = getattr(cli, name)
+
+            def record(path, _original=original):
+                opened.append(Path(path).name)
+                return _original(path)
+
+            monkeypatch.setattr(cli, name, record)
+        stage(*args)
+        monkeypatch.undo()
+        return sorted(opened)
+
+    def test_enhance_with_oracle_masks(self, pipeline, tmp_path, monkeypatch):
+        root, cfg, _ = pipeline
+        opened = self.opened_by(monkeypatch, cli.cmd_enhance, cfg, root / "scene", tmp_path)
+        assert opened == ["components_reverberant.cbtf", "mics.wav", "noise.cbtf"]
+        assert (tmp_path / "speaker0.wav").read_bytes() == (
+            root / "enh" / "speaker0.wav"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["MVDR", "LCMV"])
+    def test_enhance_with_direct_path_steering(self, pipeline, tmp_path, monkeypatch, kind):
+        root, _, _ = pipeline
+        cfg = cli.load_config(write_config(tmp_path, beamformer_type=kind))
+        opened = self.opened_by(monkeypatch, cli.cmd_enhance, cfg, root / "scene", tmp_path)
+        assert opened == ["irs_anechoic.cbtf", "mics.wav", "noise.cbtf"]
+
+    def test_decode(self, pipeline, tmp_path, monkeypatch):
+        root, cfg, _ = pipeline
+        opened = self.opened_by(
+            monkeypatch, cli.cmd_decode, cfg, root / "scene", root / "enh", tmp_path
+        )
+        assert opened == ["components_anechoic.cbtf", "speaker0.wav", "speaker1.wav"]
+        assert (tmp_path / "trials.jsonl").read_bytes() == (
+            root / "dec" / "trials.jsonl"
+        ).read_bytes()
+
+    def test_evaluate(self, pipeline, tmp_path, monkeypatch):
+        root, cfg, _ = pipeline
+        stage_args = (cfg, root / "scene", root / "enh", root / "dec", tmp_path)
+        opened = self.opened_by(monkeypatch, cli.cmd_evaluate, *stage_args)
+        assert opened == ["components_anechoic.cbtf", "mics.wav", "speaker0.wav", "speaker1.wav"]
+        assert (tmp_path / "report.json").read_bytes() == (
+            root / "eval" / "report.json"
+        ).read_bytes()
 
 
 class TestMainEntry:

@@ -61,6 +61,22 @@ class TestAnalyze:
             assert np.argmax(mags[k]) == 16
 
 
+    @pytest.mark.parametrize("frame_length, hop", [(512, 128), (128, 32), (64, 32), (48, 8)])
+    @pytest.mark.parametrize("extra", [0, 1, 7, 200])
+    def test_frames_are_windowed_slices(self, frame_length, hop, extra):
+        # frame j is the rfft of the windowed slice starting at j * hop; a
+        # single channel analyzed alone gives the bits of its row
+        cfg = stft.StftConfig(frame_length=frame_length, hop=hop)
+        x = np.random.default_rng(extra).standard_normal((3, 2 * frame_length + extra))
+        spec = stft.analyze(x, cfg)
+        win = stft._window(cfg)
+        k = (x.shape[1] - frame_length) // hop + 1
+        frames = np.stack([x[:, j * hop : j * hop + frame_length] * win for j in range(k)], 1)
+        assert np.array_equal(spec, np.fft.rfft(frames, axis=-1))
+        for m in range(x.shape[0]):
+            assert np.array_equal(stft.analyze(x[m], cfg)[0], spec[m])
+
+
 class TestSynthesize:
     def test_zero_spectrogram(self):
         out = stft.synthesize(np.zeros((1, 5, 257), dtype=complex), CFG)

@@ -25,6 +25,17 @@ def test_round_trip_bit_exact(tmp_path, dtype):
     assert np.array_equal(y, x)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (), (0, 5)])
+def test_read_returns_owned_writable_native_array(tmp_path, shape):
+    path = tmp_path / "t.cbtf"
+    write_tensor(path, np.arange(math.prod(shape), dtype=np.complex64).reshape(shape))
+    y = read_tensor(path)
+    assert y.flags.owndata and y.flags.writeable and y.flags.c_contiguous
+    assert y.dtype.isnative and y.dtype == np.complex64 and y.shape == shape
+    y[...] = 1.0  # writing must not fail or touch the file
+    assert np.array_equal(read_tensor(path), np.arange(y.size, dtype=np.complex64).reshape(shape))
+
+
 def test_one_dim_round_trip(tmp_path):
     x = np.arange(7, dtype=np.float64)
     path = tmp_path / "v.cbtf"
