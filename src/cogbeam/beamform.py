@@ -35,7 +35,6 @@ __all__ = [
     "BeamformerOutput",
     "DegenerateMaskError",
     "ConstraintRankError",
-    "stack_observations",
     "weighted_correlations",
     "dereverberate",
     "estimate_retf",
@@ -112,10 +111,10 @@ class ConvBeamformerConfig:
             prev_hi = hi
 
     def filter_length(self, frequency_hz):
-        for lo, hi, taps in self.filter_length_bands:
+        # the last band's hi is None, so the loop always returns
+        for _, hi, taps in self.filter_length_bands:
             if hi is None or frequency_hz < hi:
                 return taps
-        return self.filter_length_bands[-1][2]
 
 
 @dataclass
@@ -167,14 +166,6 @@ def _stack_frames(y, frame_delay, l_w, buffer=None):
         block[..., :tau, :] = 0
         block[..., tau:, :] = y[..., : max(k - tau, 0), :]
     return out
-
-
-def stack_observations(spec, bin_index, cfg, sample_rate=16000):
-    """Stacked observation sequence for one bin of an (M, K, F) spectrogram."""
-    spec = np.asarray(spec)
-    n_fft = 2 * (spec.shape[2] - 1)
-    l_w = cfg.filter_length(bin_index * sample_rate / n_fft)
-    return _stack_frames(spec[:, :, bin_index].T, cfg.frame_delay, l_w)
 
 
 def _hermitian_part(a):
@@ -253,26 +244,12 @@ def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
     return steering / ref[..., None]
 
 
-def _constrained_min_power(cov, constraints, response, ridge):
-    """q = R^{-1} C (C^H R^{-1} C)^{-1} p, the minimum-power solution of
-    min q^H R q subject to C^H q = p, for stacks of (M, M) ``cov``, (M, C)
-    ``constraints`` and (C,) ``response``."""
-    x = linalg.hermitian_solve(cov, constraints, ridge)
-    gram = constraints.conj().swapaxes(-1, -2) @ x
-    cond = np.linalg.cond(gram)
-    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
-    if np.any(bad):
-        raise ConstraintRankError(
-            f"constraint set numerically rank-deficient (cond ~ {_first(cond, bad):.3g})"
-        )
-    return (x @ np.linalg.solve(gram, response[..., None]))[..., 0]
-
-
 def wlcmp_solve(cov, constraints, response, ridge=1e-8):
-    """Multi-constraint minimum-power weights for Hermitian PD ``cov``.
+    """Multi-constraint minimum-power weights for Hermitian PD ``cov``:
+    q = R^{-1} C (C^H R^{-1} C)^{-1} p minimizes q^H R q subject to C^H q = p.
 
     ``constraints`` is (..., M, C) with the target steering first,
-    ``response`` the desired responses (1 for the target, the suppression
+    ``response`` the desired responses p (1 for the target, the suppression
     levels for interferers), broadcast against the leading axes. Raises
     ConstraintRankError for near-parallel constraints.
     """
@@ -282,7 +259,15 @@ def wlcmp_solve(cov, constraints, response, ridge=1e-8):
     response = np.broadcast_to(
         np.asarray(response, dtype=complex), constraints.shape[:-2] + constraints.shape[-1:]
     )
-    return _constrained_min_power(np.asarray(cov), constraints, response, ridge)
+    x = linalg.hermitian_solve(np.asarray(cov), constraints, ridge)
+    gram = constraints.conj().swapaxes(-1, -2) @ x
+    cond = np.linalg.cond(gram)
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if np.any(bad):
+        raise ConstraintRankError(
+            f"constraint set numerically rank-deficient (cond ~ {_first(cond, bad):.3g})"
+        )
+    return (x @ np.linalg.solve(gram, response[..., None]))[..., 0]
 
 
 def wmpdr_solve(cov, target_retf, ridge=1e-8):
@@ -323,7 +308,7 @@ def _round(inputs, lam, cfg, delta, scaled=None):
             stacked, inputs["stacked_conj"], lam, m, scaled
         )
         derev = linalg.hermitian_solve(r_delay, p_cross, cfg.ridge)
-        d = y - stacked[..., m:] @ derev.conj()
+        d = dereverberate(stacked, derev)
     if "noise_cov" in inputs:
         cov, target = inputs["noise_cov"], inputs["steering"]
         interferers = inputs.get("interferer_steering")
@@ -338,7 +323,7 @@ def _round(inputs, lam, cfg, delta, scaled=None):
             ]
             interferers = np.stack(retfs, axis=-1)
     constraints, response = _constraint_set(target, interferers, delta)
-    weights = _constrained_min_power(cov, constraints, response, cfg.ridge)
+    weights = wlcmp_solve(cov, constraints, response, cfg.ridge)
     z = (d @ weights.conj()[..., None])[..., 0]
     return z, derev, weights, constraints, response
 

@@ -10,7 +10,7 @@ produced files. Each stage reads only the scene files it uses.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -374,14 +374,7 @@ def _oracle_masks(scene_dir, stft_cfg):
 
 
 def _file_masks(path, frames_bins):
-    loaded = read_tensor(Path(path))
-    if loaded.ndim == 4:
-        # per-microphone estimates carry a speaker-permutation ambiguity:
-        # resolve it against the first microphone, then pool
-        per_mic = [np.clip(loaded[m], 0.0, 1.0) for m in range(loaded.shape[0])]
-        mask_set = masks.average_masks(masks.align_masks(per_mic, 0))
-    else:
-        mask_set = masks.load_masks(path)
+    mask_set = masks.load_masks(path)
     if mask_set.shape[1:] != frames_bins:
         raise ConfigError(
             f"mask tensor {mask_set.shape} does not match spectrogram "
@@ -439,9 +432,7 @@ def cmd_enhance(cfg, scene_dir, out_dir):
 
     diag_all = {}
     for i in range(n_speakers):
-        bf_cfg = beamform.ConvBeamformerConfig(
-            **{**asdict(cfg.beamformer), "reference_mic": ref_mics[i]}
-        )
+        bf_cfg = replace(cfg.beamformer, reference_mic=ref_mics[i])
         others = [j for j in range(n_speakers) if j != i]
         if source == "masks":
             inputs = {"target_mask": mask_set[i]}

@@ -3,13 +3,16 @@
 A mask set is a real array of shape (I + 1, K, F) in [0, 1]: one plane per
 speaker followed by one noise plane. Separately estimated per-microphone
 mask sets carry a source-permutation ambiguity; ``align_masks`` resolves it
-against a reference microphone before ``average_masks`` pools them.
+against a reference microphone, as an assignment of planes with no cap on
+the number of sources, before ``average_masks`` pools them. ``load_masks``
+reads a mask file of either form: one set (I + 1, K, F), or one set per
+microphone (M, I + 1, K, F), which it aligns and pools.
 """
 
-import itertools
 import warnings
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .tensorfile import read_tensor, write_tensor
 
@@ -59,30 +62,22 @@ def align_masks(per_mic_masks, reference_mic=0):
     """Reorder every microphone's source planes to match the reference mic.
 
     The best ordering minimizes the total squared mask difference against the
-    reference, searched exhaustively over all source permutations (the noise
-    plane participates, so at most (I + 1)! candidates).
+    reference. The noise plane takes part. The total is a sum of
+    plane-to-plane terms, so the ordering is the solution of an assignment
+    problem on their cost matrix.
     """
     per_mic_masks = [np.asarray(m, dtype=float) for m in per_mic_masks]
     shapes = {m.shape for m in per_mic_masks}
     if len(shapes) != 1:
         raise ValueError(f"mask shapes disagree across mics: {shapes}")
-    n_sources = per_mic_masks[0].shape[0]
-    if n_sources > 6:
-        raise ValueError(
-            f"{n_sources} sources: exhaustive permutation search capped at 6"
-        )
     reference = per_mic_masks[reference_mic]
     aligned = []
     for m, masks in enumerate(per_mic_masks):
         if m == reference_mic:
             aligned.append(masks.copy())
             continue
-        cost = _permutation_cost(reference, masks)
-        best = min(
-            itertools.permutations(range(n_sources)),
-            key=lambda p: sum(cost[i, p[i]] for i in range(n_sources)),
-        )
-        aligned.append(masks[list(best)])
+        _, best = linear_sum_assignment(_permutation_cost(reference, masks))
+        aligned.append(masks[best])
     return aligned
 
 
@@ -99,14 +94,18 @@ def store_masks(mask_set, path):
 
 
 def load_masks(path):
-    """Read a mask tensor, clamping stray values into [0, 1] with a warning."""
-    masks = read_tensor(path).astype(float)
-    if masks.ndim != 3:
-        raise ValueError(f"expected rank-3 mask tensor, got rank {masks.ndim}")
+    """Read a mask set (I + 1, K, F), or per-microphone sets (M, I + 1, K, F)
+    that are aligned to the first microphone and averaged. Stray values are
+    clamped into [0, 1] with a warning."""
+    masks = np.asarray(read_tensor(path), dtype=float)
+    if masks.ndim not in (3, 4):
+        raise ValueError(f"expected rank-3 or rank-4 mask tensor, got rank {masks.ndim}")
     out_of_range = int(((masks < 0.0) | (masks > 1.0)).sum())
     if out_of_range:
         warnings.warn(
             f"clamped {out_of_range} mask value(s) into [0, 1]", stacklevel=2
         )
-        masks = np.clip(masks, 0.0, 1.0)
+        np.clip(masks, 0.0, 1.0, out=masks)
+    if masks.ndim == 4:
+        masks = average_masks(align_masks(masks, 0))
     return masks

@@ -21,7 +21,6 @@ __all__ = [
     "fwssnr",
     "input_fwssnr",
     "DecodeOutcome",
-    "decode_correct",
     "selection_outcome",
     "aad_accuracy",
     "chance_upper_bound",
@@ -174,16 +173,6 @@ class DecodeOutcome(NamedTuple):
     tie: bool
     fwssnr_selected: float
     fwssnr_discarded: float
-
-
-def decode_correct(selected, discarded, reference, cfg=FwssnrConfig(), sample_rate=16000):
-    """Trial outcome: selected output must beat the discarded one strictly.
-
-    Equal scores count as incorrect and set the tie flag.
-    """
-    score_sel = fwssnr(selected, reference, cfg, sample_rate)
-    score_dis = fwssnr(discarded, reference, cfg, sample_rate)
-    return selection_outcome([score_sel, score_dis], 0)
 
 
 def selection_outcome(scores, selected):

@@ -12,7 +12,6 @@ from cogbeam.beamform import (
     mpdr,
     mvdr_lcmv,
     run_conv_beamformer,
-    stack_observations,
     weighted_correlations,
     wlcmp_solve,
     wmpdr_solve,
@@ -70,13 +69,12 @@ class TestConfig:
 
 
 class TestStackObservations:
+    """The pipeline's stacking of one bin's (K, M) frames."""
+
     def test_first_frame_padding(self):
         rng = np.random.default_rng(0)
         spec = rng.standard_normal((2, 5, 257)) + 1j * rng.standard_normal((2, 5, 257))
-        cfg = ConvBeamformerConfig(
-            filter_length_bands=((0.0, None, 8),), frame_delay=4
-        )
-        stacked = stack_observations(spec, 10, cfg)
+        stacked = beamform._stack_frames(spec[:, :, 10].T, frame_delay=4, l_w=8)
         assert stacked.shape == (5, 2 * 5)
         assert not np.any(stacked[0, 2:])  # frame 0: only the current frame
         np.testing.assert_array_equal(stacked[0, :2], spec[:, 0, 10])
@@ -84,11 +82,8 @@ class TestStackObservations:
     def test_index_bookkeeping_oracle(self):
         rng = np.random.default_rng(1)
         spec = rng.standard_normal((3, 12, 17)) + 1j * rng.standard_normal((3, 12, 17))
-        cfg = ConvBeamformerConfig(
-            filter_length_bands=((0.0, None, 7),), frame_delay=2
-        )
         f = 5
-        stacked = stack_observations(spec, f, cfg, sample_rate=FS)
+        stacked = beamform._stack_frames(spec[:, :, f].T, frame_delay=2, l_w=7)
         taps = [0, 2, 3, 4, 5, 6]
         for k in range(12):
             for j, tau in enumerate(taps):
@@ -333,7 +328,9 @@ class TestRunConvBeamformer:
             state = out.states[fi]
             if state.passthrough:
                 continue
-            stacked = stack_observations(sc["mix"], fi, cfg, FS)
+            stacked = beamform._stack_frames(
+                sc["mix"][:, :, fi].T, cfg.frame_delay, state.filter_taps
+            )
             w_bar = np.concatenate([state.weights, -(state.derev @ state.weights)])
             via_stack = stacked @ w_bar.conj()
             d = dereverberate(stacked, state.derev)

@@ -246,6 +246,50 @@ class TestEnhance:
             root / "enh" / "speaker0.wav"
         ).read_bytes()
 
+    def test_per_mic_mask_file_route_matches_oracle_route(self, pipeline, tmp_path, monkeypatch):
+        from cogbeam import masks as masks_mod
+
+        root, cfg, _ = pipeline
+        mask_set = cli._oracle_masks(root / "scene", cfg.stft)
+        # the second microphone's planes permuted: aligned back, the mean of
+        # two equal sets is exact
+        mask_path = tmp_path / "masks.cbtf"
+        write_tensor(mask_path, np.stack([mask_set, mask_set[[1, 2, 0]]]))
+        opened = []
+
+        def record(path, _original=masks_mod.read_tensor):
+            opened.append(Path(path).name)
+            return _original(path)
+
+        monkeypatch.setattr(masks_mod, "read_tensor", record)
+        cfg_file = cli.load_config(
+            write_config(tmp_path, masks={"source": "file", "path": str(mask_path)})
+        )
+        cli.cmd_enhance(cfg_file, root / "scene", tmp_path / "enh_file")
+        assert opened == ["masks.cbtf"]
+        for i in range(2):
+            assert (tmp_path / "enh_file" / f"speaker{i}.wav").read_bytes() == (
+                root / "enh" / f"speaker{i}.wav"
+            ).read_bytes()
+
+    def test_per_mic_mask_file_clamped_with_warning(self, pipeline, tmp_path):
+        root, cfg, _ = pipeline
+        mask_set = cli._oracle_masks(root / "scene", cfg.stft)
+        per_mic = np.stack([mask_set, mask_set])
+        per_mic[0, 0, 0, :2] = [1.5, -0.5]
+        per_mic[1, 2, 3, 4] = 2.0
+        mask_path = tmp_path / "masks.cbtf"
+        write_tensor(mask_path, per_mic)
+        cfg_file = cli.load_config(
+            write_config(
+                tmp_path,
+                beamformer_type="MPDR",
+                masks={"source": "file", "path": str(mask_path)},
+            )
+        )
+        with pytest.warns(UserWarning, match="clamped 3 mask value"):
+            cli.cmd_enhance(cfg_file, root / "scene", tmp_path / "enh_file")
+
     @pytest.mark.parametrize("n_speakers", [2, 3])
     def test_streamed_oracle_masks_match_all_mic_construction(self, tmp_path, n_speakers):
         from cogbeam import masks as masks_mod
@@ -328,7 +372,7 @@ class TestDecode:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the labels were checked")
 
-        monkeypatch.setattr(aad, "train_decoder", no_training)
+        monkeypatch.setattr(aad, "decode_trials", no_training)
         with pytest.raises(cli.ConfigError, match=r"speaker indices in \[0, 2\)"):
             cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "dec")
 

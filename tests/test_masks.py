@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cogbeam import masks
 from cogbeam.tensorfile import TensorFileError, write_tensor
@@ -56,6 +58,18 @@ def random_mask_set(rng, s=3, k=5, f=7):
     return m / m.sum(axis=0)
 
 
+def brute_force_alignment(ref, other):
+    """The ordering of ``other``'s planes with the least total squared
+    difference to ``ref``, found by trying every permutation, and the gap to
+    the runner-up."""
+    n = ref.shape[0]
+    costs = sorted(
+        (sum(((ref[i] - other[p[i]]) ** 2).sum() for i in range(n)), p)
+        for p in itertools.permutations(range(n))
+    )
+    return list(costs[0][1]), costs[1][0] - costs[0][0]
+
+
 class TestAlignMasks:
     def test_identical_sets_identity(self):
         rng = np.random.default_rng(4)
@@ -76,14 +90,8 @@ class TestAlignMasks:
         ref = random_mask_set(rng)
         other = random_mask_set(rng)
         out = masks.align_masks([ref, other], 0)
-
-        def cost(perm):
-            return sum(
-                ((ref[i] - other[perm[i]]) ** 2).sum() for i in range(3)
-            )
-
-        best = min(itertools.permutations(range(3)), key=cost)
-        np.testing.assert_array_equal(out[1], other[list(best)])
+        best, _ = brute_force_alignment(ref, other)
+        np.testing.assert_array_equal(out[1], other[best])
 
     def test_output_is_permutation_of_input(self):
         rng = np.random.default_rng(7)
@@ -94,11 +102,25 @@ class TestAlignMasks:
             alig_planes = sorted(map(tuple, aligned.reshape(3, -1)))
             assert orig_planes == alig_planes
 
-    def test_too_many_sources(self):
+    def test_seven_sources_aligned(self):
+        # no cap on the number of sources
         rng = np.random.default_rng(8)
-        big = random_mask_set(rng, s=7)
-        with pytest.raises(ValueError, match="capped"):
-            masks.align_masks([big, big], 0)
+        ref = random_mask_set(rng, s=7)
+        perm = rng.permutation(7)
+        out = masks.align_masks([ref, ref[perm]], 0)
+        np.testing.assert_array_equal(out[1], ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(2, 5))
+def test_assignment_matches_brute_force(seed, n_sources):
+    rng = np.random.default_rng(seed)
+    ref = random_mask_set(rng, s=n_sources)
+    other = random_mask_set(rng, s=n_sources)
+    best, gap = brute_force_alignment(ref, other)
+    assume(gap > 1e-9)  # tie-free: the optimum is unique
+    out = masks.align_masks([ref, other], 0)
+    np.testing.assert_array_equal(out[1], other[best])
 
 
 class TestAverageMasks:
@@ -150,6 +172,15 @@ class TestMaskIo:
             out = masks.load_masks(path)
         assert out.max() == 1.0 and out.min() == 0.0
 
+    def test_per_mic_sets_aligned_and_averaged(self, tmp_path):
+        rng = np.random.default_rng(13)
+        ref = random_mask_set(rng)
+        noisy = np.clip(ref + 0.01 * rng.standard_normal(ref.shape), 0, 1)
+        path = tmp_path / "m.cbtf"
+        write_tensor(path, np.stack([ref, noisy[[2, 0, 1]]]))
+        out = masks.load_masks(path)
+        np.testing.assert_array_equal(out, masks.average_masks([ref, noisy]))
+
     def test_truncated_file_structured_error(self, tmp_path):
         path = tmp_path / "m.cbtf"
         masks.store_masks(np.full((1, 2, 2), 0.5), path)
@@ -160,5 +191,8 @@ class TestMaskIo:
     def test_wrong_rank_rejected(self, tmp_path):
         path = tmp_path / "m.cbtf"
         write_tensor(path, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="rank"):
+            masks.load_masks(path)
+        write_tensor(path, np.zeros((1, 2, 2, 2, 2)))
         with pytest.raises(ValueError, match="rank"):
             masks.load_masks(path)

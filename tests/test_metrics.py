@@ -88,22 +88,29 @@ class TestInputFwssnr:
 
 
 class TestDecodeCorrect:
+    """A trial's outcome from the fwSSNR of the selected and the discarded
+    output, the rule ``cmd_evaluate`` applies."""
+
+    @staticmethod
+    def outcome(selected, discarded, ref):
+        return metrics.selection_outcome([fwssnr(selected, ref), fwssnr(discarded, ref)], 0)
+
     def test_clear_winner(self):
         ref = stationary_reference(seed=7)
         noise = stationary_reference(seed=8)
-        out = metrics.decode_correct(ref, ref + noise, ref)
+        out = self.outcome(ref, ref + noise, ref)
         assert out.correct and not out.tie
 
     def test_swapped(self):
         ref = stationary_reference(seed=7)
         noise = stationary_reference(seed=8)
-        out = metrics.decode_correct(ref + noise, ref, ref)
+        out = self.outcome(ref + noise, ref, ref)
         assert not out.correct and not out.tie
 
     def test_tie_is_incorrect_with_flag(self):
         ref = stationary_reference(seed=7)
         noisy = ref + stationary_reference(seed=8)
-        out = metrics.decode_correct(noisy, noisy.copy(), ref)
+        out = self.outcome(noisy, noisy.copy(), ref)
         assert not out.correct and out.tie
 
 
