@@ -10,6 +10,15 @@ output variance; the conventional variants are the single-round case without
 prediction, on the unit-variance raw-signal covariance or a supplied noise
 covariance. Steering comes from masks or from the caller.
 
+Numpy's OpenBLAS is pinned to one thread while chunks are solved
+(``linalg.one_blas_thread``). The multi-round solves of the convolutional
+types run their chunks on a thread pool with one worker per CPU of the
+process's affinity mask, at most two; single-round solves, and every solve
+where OpenBLAS cannot be pinned, run on the calling thread. A bin's solve does
+not depend on the chunk it shares, and the results are assembled in chunk
+order, so the output bits are the same for any worker count and any BLAS
+thread setting.
+
 Shapes used throughout (per bin; stacks add a leading bin axis):
     spectrogram    (M, K, F) complex
     mask plane     (K, F) real in [0, 1]
@@ -22,6 +31,9 @@ Shapes used throughout (per bin; stacks add a leading bin axis):
 
 import itertools
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +50,6 @@ __all__ = [
     "weighted_correlations",
     "dereverberate",
     "estimate_retf",
-    "wmpdr_solve",
     "wlcmp_solve",
     "run_conv_beamformer",
     "mpdr",
@@ -51,11 +62,23 @@ DEFAULT_FILTER_BANDS = ((0.0, 800.0, 20), (800.0, 1500.0, 16), (1500.0, None, 8)
 
 _COND_LIMIT = 1e12
 
-# Byte budget of one chunk's stacked observations. The solve holds about
-# three arrays of that size at once. One wMPDR `enhance` of a 2 s, 4-mic
-# scene with a 128-sample STFT peaks at 144 MiB with this budget, as the
-# per-bin solver did, and at 184 MiB unchunked.
+# Byte budget of the stacked observations of the chunks in flight: with w
+# workers, each chunk fits _CHUNK_BYTES / w, but holds at least one bin.
+# Each worker holds two buffers of the largest chunk, the stacked frames and
+# their variance-scaled conjugate, so the pool's buffers total about twice
+# the budget while a bin fits a worker's share, and 2 w times the largest
+# bin once a bin is larger (a 20-tap bin of a 60 s, 4-mic scene with a
+# 128-sample STFT is 8.2 MB). Smaller chunks cost more calls per bin: the
+# wMPDR solve of both speakers of a 2 s, 4-mic scene with a 128-sample STFT
+# takes 1.19 s with one worker at 4 MiB, 1.53 s at 512 KiB, and 0.85 s with
+# two workers at 2 MiB each (medians of 5, 2 cores, one BLAS thread).
 _CHUNK_BYTES = 4 << 20
+
+# The pool's worker count is capped at the two it was measured with. The
+# solve holds the GIL for about 0.5 ms per chunk-round, and more workers
+# mean smaller chunks, more rounds and more buffers; whether time and peak
+# memory still improve on more cores has not been measured.
+_MAX_WORKERS = 2
 
 
 class DegenerateMaskError(ValueError):
@@ -181,27 +204,31 @@ def weighted_correlations(stacked, lam, n_channels):
     delayed-frames block and ``p_cross`` the delayed-to-current block.
     Hermitian parts are symmetrized.
     """
-    stacked = np.asarray(stacked)
-    return _weighted_correlations(stacked, stacked.conj(), lam, n_channels)
+    return _weighted_correlations(np.asarray(stacked), lam, n_channels)
 
 
-def _weighted_correlations(stacked, stacked_conj, lam, m, buffer=None):
-    """weighted_correlations with the conjugate supplied: the solve reuses
-    one conjugate of the stacked frames over all rounds. The scaled frames
-    are held in the flat complex ``buffer`` when given."""
+def _weighted_correlations(stacked, lam, m, buffer=None):
+    """weighted_correlations, with the variance-scaled conjugate of the
+    stacked frames held in the flat complex ``buffer`` when given.
+
+    The sum of ``stacked_k stacked_k^H / lam_k`` is computed as the
+    conjugate of ``(conj(stacked) / lam)^T @ stacked``, which has the same
+    bits and needs no second conjugated copy of the frames.
+    """
     k = stacked.shape[-2]
-    out = None if buffer is None else _view(buffer, stacked.shape)
+    scaled = np.conjugate(stacked, out=None if buffer is None else _view(buffer, stacked.shape))
     # numpy divides complex by real as a product with the reciprocal; the
     # explicit product gives the same bits at half the cost
-    scaled = np.multiply(stacked, (1.0 / np.asarray(lam, dtype=float))[..., None], out=out)
-    r_full = _hermitian_part(scaled.swapaxes(-1, -2) @ stacked_conj / k)
+    np.multiply(scaled, (1.0 / np.asarray(lam, dtype=float))[..., None], out=scaled)
+    r_full = _hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ stacked) / k)
     return r_full[..., m:, m:], r_full[..., m:, :m], r_full
 
 
-def dereverberate(stacked, derev):
-    """Subtract the linear prediction from delayed frames: d_k = y_k - G^H y~_k."""
+def dereverberate(frames, stacked, derev):
+    """Subtract the linear prediction from the frames: d_k = y_k - G^H y~_k,
+    where ``stacked`` are the stacked observations of ``frames``."""
     m = derev.shape[-1]
-    return stacked[..., :m] - stacked[..., m:] @ derev.conj()
+    return frames - stacked[..., m:] @ derev.conj()
 
 
 def _first(values, bad):
@@ -270,12 +297,6 @@ def wlcmp_solve(cov, constraints, response, ridge=1e-8):
     return (x @ np.linalg.solve(gram, response[..., None]))[..., 0]
 
 
-def wmpdr_solve(cov, target_retf, ridge=1e-8):
-    """Distortionless minimum-power weights: q = R^{-1}a / (a^H R^{-1} a)."""
-    target_retf = np.asarray(target_retf, dtype=complex)
-    return wlcmp_solve(cov, target_retf[..., None], np.ones(1), ridge)
-
-
 def _constraint_set(target, interferers, delta):
     """(..., M, 1 + U) constraints with the target first and their (..., 1 + U)
     responses: 1 for the target, ``delta`` per interferer."""
@@ -291,12 +312,12 @@ def _round(inputs, lam, cfg, delta, scaled=None):
     """One round of the shared solve for a stack of bins.
 
     ``inputs`` holds per-bin arrays with a leading bin axis: ``frames``;
-    when predicting, ``stacked`` and ``stacked_conj``; and the steering
-    source, either ``mask`` (plus optional ``interferer_masks`` (bins, U, K))
-    or ``steering`` and ``noise_cov`` (plus optional ``interferer_steering``
-    (bins, M, U)). ``scaled``, when given, is the flat buffer that holds
-    the variance-scaled stacked frames. Returns (z, G or None, q,
-    constraints, response).
+    when predicting, ``stacked``; and the steering source, either ``mask``
+    (plus optional ``interferer_masks`` (bins, U, K)) or ``steering`` and
+    ``noise_cov`` (plus optional ``interferer_steering`` (bins, M, U)).
+    ``scaled``, when given, is the flat buffer that holds the
+    variance-scaled conjugate of the stacked frames. Returns (z, G or None,
+    q, constraints, response).
     """
     y = inputs["frames"]
     m = y.shape[-1]
@@ -304,11 +325,9 @@ def _round(inputs, lam, cfg, delta, scaled=None):
     d = y
     if "stacked" in inputs:
         stacked = inputs["stacked"]
-        r_delay, p_cross, _ = _weighted_correlations(
-            stacked, inputs["stacked_conj"], lam, m, scaled
-        )
+        r_delay, p_cross, _ = _weighted_correlations(stacked, lam, m, scaled)
         derev = linalg.hermitian_solve(r_delay, p_cross, cfg.ridge)
-        d = dereverberate(stacked, derev)
+        d = dereverberate(y, stacked, derev)
     if "noise_cov" in inputs:
         cov, target = inputs["noise_cov"], inputs["steering"]
         interferers = inputs.get("interferer_steering")
@@ -433,25 +452,19 @@ def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
     residuals = np.full(f, np.nan)
     failures = []
 
-    def bin_bytes(l_w):
-        return _bin_bytes(k, m, l_w, cfg)
-
-    chunks = list(_chunks(keys, bin_bytes))
-    # The stacked frames, their conjugate and their variance-scaled copy are
-    # held in three flat buffers sized for the largest chunk and reused by
-    # every chunk and round: a fresh array of that size faults its pages in
-    # again on each allocation.
-    size = max((bins.size * bin_bytes(l_w) // 16 for l_w, bins in chunks if l_w), default=0)
-    stacked_buf, conj_buf, scaled_buf = (np.empty(size, dtype=complex) for _ in range(3))
-    for l_w, bins in chunks:
-        inputs = {name: values[bins] for name, values in per_bin.items()}
-        inputs["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w, stacked_buf)
-        if stacked is not None:
-            inputs["stacked"] = stacked
-            inputs["stacked_conj"] = np.conjugate(stacked, out=_view(conj_buf, stacked.shape))
-        alive, out, objective, chunk_failures = _solve_chunk(
-            inputs, cfg, rounds, delta, scaled_buf
-        )
+    with linalg.one_blas_thread() as pinned:
+        # Single-round solves stay on the calling thread. Their chunks gain
+        # little from a pool, and a worker thread allocates from a malloc
+        # arena of its own, which cannot reuse what the calling thread freed:
+        # MPDR on 10 s scenes, enhanced in the process that simulated them,
+        # peaked at 213 MiB with two workers against 193 MiB with none.
+        workers = 1
+        if pinned and rounds > 1 and hasattr(os, "sched_getaffinity"):  # Linux
+            workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+        # each worker's chunks fit its share of the byte budget
+        chunks = list(_chunks(keys, lambda l_w: workers * _bin_bytes(k, m, l_w, cfg)))
+        results = _solve_chunks(spec, per_bin, chunks, workers, cfg, rounds, delta)
+    for (l_w, bins), (alive, out, objective, chunk_failures) in zip(chunks, results):
         failures += [(int(bins[b]), it, msg) for b, it, msg in chunk_failures]
         if out is None:
             continue
@@ -475,6 +488,45 @@ def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
         failed_bins=sorted(failures),
     )
     return BeamformerOutput(z, states, diagnostics)
+
+
+def _solve_chunks(spec, per_bin, chunks, workers, cfg, rounds, delta):
+    """``_solve_chunk`` of every chunk on a pool of ``workers`` threads, or on
+    the calling thread for one worker; the results in chunk order.
+
+    Each worker holds two flat buffers sized for the largest chunk, for the
+    stacked frames and their variance-scaled conjugate, and reuses them for
+    every chunk and round it solves: a fresh array of that size faults its
+    pages in again on each allocation.
+    """
+    m, k, _ = spec.shape
+    size = max(
+        (bins.size * _bin_bytes(k, m, l_w, cfg) // 16 for l_w, bins in chunks if l_w), default=0
+    )
+    # at most ``workers`` chunks run at once, so a free pair is always there
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty(size, dtype=complex), np.empty(size, dtype=complex)))
+
+    def solve(chunk):
+        l_w, bins = chunk
+        stacked_buf, scaled_buf = buffers.get()
+        try:
+            inputs = {name: values[bins] for name, values in per_bin.items()}
+            inputs["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w, stacked_buf)
+            if stacked is not None:
+                inputs["stacked"] = stacked
+            return _solve_chunk(inputs, cfg, rounds, delta, scaled_buf)
+        finally:
+            buffers.put((stacked_buf, scaled_buf))
+
+    if workers == 1:
+        return [solve(chunk) for chunk in chunks]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(solve, chunks))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _bin_bytes(k, m, l_w, cfg):
@@ -569,7 +621,7 @@ def apply_bin_filters(states, spec, cfg=None):
     for l_w, bins in _chunks(keys, lambda l_w: _bin_bytes(k, m, l_w, cfg)):
         d, stacked = _chunk_frames(spec, bins, cfg, l_w)
         if stacked is not None:
-            d = dereverberate(stacked, np.stack([states[fi].derev for fi in bins]))
+            d = dereverberate(d, stacked, np.stack([states[fi].derev for fi in bins]))
         weights = np.stack([states[fi].weights for fi in bins])
         z[:, bins] = (d @ weights.conj()[..., None])[..., 0].T
     return z

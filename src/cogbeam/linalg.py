@@ -14,7 +14,20 @@ pool's spinning threads starve the busy one, and under default threading on
 a 2-core machine that cost about 10x (2000 complex 1000x68 products
 interleaved with scipy 4x4 triangular solves: 22.5 s, against 2.4 s with the
 same solves done by numpy).
+
+``one_blas_thread`` pins numpy's OpenBLAS to one thread while the
+beamformers solve chunks of bins, on a thread pool or on the calling thread.
+OpenBLAS threads gain little on these small products (3 % on a 60 s scene),
+they compete with the pool for the cores, and the bits of a product depend
+on how many of them split it. Pinned, every product runs whole on the
+thread that calls it.
 """
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
@@ -114,3 +127,42 @@ def max_generalized_eigvec(a, b):
     lead = np.take_along_axis(v, idx[..., None], axis=-1)
     v = v * (lead / np.abs(lead)).conj()
     return v, values[..., -1]
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread and restore
+    the previous thread count on exit. Yields whether the pin holds: False,
+    with nothing changed, where numpy's OpenBLAS exposes no thread setting.
+    The thread count is process-wide, so two threads must not overlap their
+    pins: the one that exits first would unpin the other."""
+    api = _openblas_threads()
+    if api is None:
+        yield False
+        return
+    get_threads, set_threads = api
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) functions of the thread count of the OpenBLAS in numpy's
+    ``numpy.libs``, or None where there is no such library or symbol. Loading
+    the library by its path returns the copy numpy already uses."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None

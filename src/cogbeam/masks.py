@@ -96,10 +96,13 @@ def store_masks(mask_set, path):
 def load_masks(path):
     """Read a mask set (I + 1, K, F), or per-microphone sets (M, I + 1, K, F)
     that are aligned to the first microphone and averaged. Stray values are
-    clamped into [0, 1] with a warning."""
+    clamped into [0, 1] with a warning; NaN or infinite values are refused."""
     masks = np.asarray(read_tensor(path), dtype=float)
     if masks.ndim not in (3, 4):
         raise ValueError(f"expected rank-3 or rank-4 mask tensor, got rank {masks.ndim}")
+    non_finite = masks.size - np.count_nonzero(np.isfinite(masks))
+    if non_finite:
+        raise ValueError(f"{path}: {non_finite} non-finite mask value(s)")
     out_of_range = int(((masks < 0.0) | (masks > 1.0)).sum())
     if out_of_range:
         warnings.warn(

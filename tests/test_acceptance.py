@@ -93,7 +93,7 @@ def test_criterion_1_constraint_suite():
         m = int(rng.choice([2, 4, 6]))
         cov = random_hpd(rng, m)
         steering = random_vec(rng, m)
-        q = beamform.wmpdr_solve(cov, steering)
+        q = beamform.wlcmp_solve(cov, steering[..., None], 1.0)
         worst_single = max(worst_single, abs(np.vdot(q, steering) - 1.0))
         n_con = int(rng.integers(1, m)) if m > 1 else 1
         constraints = np.column_stack([steering] + [random_vec(rng, m) for _ in range(n_con - 1)])
@@ -147,7 +147,7 @@ def test_criterion_3_factorization_identity():
         weights = random_vec(rng, m)
         stacked_filter = np.concatenate([weights, -(derev @ weights)])
         via_stack = stacked @ stacked_filter.conj()
-        via_factor = beamform.dereverberate(stacked, derev) @ weights.conj()
+        via_factor = beamform.dereverberate(y, stacked, derev) @ weights.conj()
         scale = max(np.linalg.norm(via_factor), 1.0)
         worst = max(worst, float(np.max(np.abs(via_stack - via_factor))) / scale)
     ok = worst <= 1e-10

@@ -1,6 +1,10 @@
 """The frequency-batched beamformer core against the frozen per-bin oracle,
 plus property tests of the batched kernels."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -152,6 +156,63 @@ def test_failure_leaves_chunk_neighbours_unchanged(oracle_scene, monkeypatch, ki
     alone = _run_all(oracle_scene, cfg)[kind][0]
     np.testing.assert_array_equal(chunked.z, alone.z)
     assert chunked.diagnostics.failed_bins == alone.diagnostics.failed_bins
+
+
+def _solve_degenerate(sc, kind, cfg):
+    return beamform.run_conv_beamformer(
+        sc["mix"], sc["target"], sc["interferers"], cfg, kind.lower()
+    )
+
+
+def _assert_same_output(a, b):
+    np.testing.assert_array_equal(a.z, b.z)
+    assert a.diagnostics.failed_bins == b.diagnostics.failed_bins
+    assert [s.passthrough for s in a.states] == [s.passthrough for s in b.states]
+    np.testing.assert_array_equal(a.diagnostics.objective_per_bin, b.diagnostics.objective_per_bin)
+    np.testing.assert_array_equal(
+        a.diagnostics.constraint_residual_per_bin, b.diagnostics.constraint_residual_per_bin
+    )
+
+
+@pytest.mark.parametrize("kind", ["wMPDR", "wLCMP"])
+def test_degenerate_bin_same_with_one_worker_and_all_cpus(oracle_scene, monkeypatch, kind):
+    # the pool has one worker per CPU of the affinity mask, at most two, and
+    # each worker's chunks fit its share of the byte budget, so one CPU also
+    # means other chunks, solved on the calling thread
+    cfg = ConvBeamformerConfig(iterations=2)
+    every_cpu = _solve_degenerate(oracle_scene, kind, cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = _solve_degenerate(oracle_scene, kind, cfg)
+    _assert_same_output(every_cpu, one_cpu)
+    assert DEGENERATE_BIN in [fb[0] for fb in every_cpu.diagnostics.failed_bins]
+    assert every_cpu.states[DEGENERATE_BIN].passthrough
+    np.testing.assert_array_equal(
+        every_cpu.z[:, DEGENERATE_BIN], oracle_scene["mix"][0, :, DEGENERATE_BIN]
+    )
+
+
+def test_more_workers_than_cpus_under_fast_thread_switching(oracle_scene, monkeypatch):
+    # eight workers share the buffer queue and switch every 10 us; a buffer
+    # handed to two chunks at once would change their bits
+    cfg = ConvBeamformerConfig(iterations=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_worker = _solve_degenerate(oracle_scene, "wMPDR", cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(beamform, "_MAX_WORKERS", 8)
+    result = {}
+    solver = threading.Thread(
+        target=lambda: result.update(out=_solve_degenerate(oracle_scene, "wMPDR", cfg)),
+        daemon=True,
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        solver.start()
+        solver.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not solver.is_alive(), "workers waiting for a buffer pair"
+    _assert_same_output(one_worker, result["out"])
 
 
 def test_chunks_fit_the_byte_budget():

@@ -14,7 +14,6 @@ from cogbeam.beamform import (
     run_conv_beamformer,
     weighted_correlations,
     wlcmp_solve,
-    wmpdr_solve,
 )
 
 from conftest import FS, build_scene, oracle_mask_set
@@ -130,7 +129,7 @@ class TestDereverberate:
         rng = np.random.default_rng(5)
         stacked = random_vec(rng, 30).reshape(5, 6)
         g = np.zeros((4, 2), dtype=complex)
-        np.testing.assert_array_equal(dereverberate(stacked, g), stacked[:, :2])
+        np.testing.assert_array_equal(dereverberate(stacked[:, :2], stacked, g), stacked[:, :2])
 
     def test_planted_regression_recovers_residual(self):
         rng = np.random.default_rng(6)
@@ -140,14 +139,14 @@ class TestDereverberate:
         residual = random_vec(rng, k * m).reshape(k, m)
         current = delayed @ g.conj() + residual
         stacked = np.hstack([current, delayed])
-        np.testing.assert_allclose(dereverberate(stacked, g), residual, atol=1e-12)
+        np.testing.assert_allclose(dereverberate(current, stacked, g), residual, atol=1e-12)
 
     def test_single_frame_padding(self):
         rng = np.random.default_rng(7)
         y = random_vec(rng, 3)[None, :]
         stacked = beamform._stack_frames(y, 2, 5)
         g = random_vec(rng, 9 * 3).reshape(9, 3)
-        np.testing.assert_array_equal(dereverberate(stacked, g), y)
+        np.testing.assert_array_equal(dereverberate(y, stacked, g), y)
 
 
 class TestEstimateRetf:
@@ -191,11 +190,11 @@ class TestEstimateRetf:
 
 class TestWmpdrSolve:
     def test_identity_covariance(self):
-        q = wmpdr_solve(np.eye(3, dtype=complex), np.eye(3)[:, 0], ridge=0.0)
+        q = wlcmp_solve(np.eye(3, dtype=complex), np.eye(3)[:, 0][..., None], 1.0, ridge=0.0)
         np.testing.assert_allclose(q, [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_two_by_two_closed_form(self):
-        q = wmpdr_solve(np.diag([1.0, 4.0]).astype(complex), np.ones(2), ridge=0.0)
+        q = wlcmp_solve(np.diag([1.0, 4.0]).astype(complex), np.ones(2)[..., None], 1.0, ridge=0.0)
         np.testing.assert_allclose(q, [0.8, 0.2], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -203,7 +202,7 @@ class TestWmpdrSolve:
         rng = np.random.default_rng(20 + seed)
         cov = random_hpd(rng, 5)
         steering = random_vec(rng, 5)
-        q = wmpdr_solve(cov, steering, ridge=0.0)
+        q = wlcmp_solve(cov, steering[..., None], 1.0, ridge=0.0)
         oracle = kkt_oracle(cov, steering[:, None], np.ones(1))
         np.testing.assert_allclose(q, oracle, atol=1e-8)
 
@@ -211,7 +210,7 @@ class TestWmpdrSolve:
         rng = np.random.default_rng(30)
         cov = random_hpd(rng, 4)
         steering = random_vec(rng, 4)
-        q = wmpdr_solve(cov, steering)
+        q = wlcmp_solve(cov, steering[..., None], 1.0)
         assert abs(np.vdot(q, steering) - 1.0) <= 1e-8
 
 
@@ -220,7 +219,7 @@ class TestWlcmpSolve:
         rng = np.random.default_rng(31)
         cov = random_hpd(rng, 4)
         steering = random_vec(rng, 4)
-        q1 = wmpdr_solve(cov, steering, ridge=1e-8)
+        q1 = wlcmp_solve(cov, steering[..., None], 1.0, ridge=1e-8)
         q2 = wlcmp_solve(cov, steering[:, None], np.ones(1), ridge=1e-8)
         np.testing.assert_array_equal(q1, q2)
 
@@ -328,12 +327,11 @@ class TestRunConvBeamformer:
             state = out.states[fi]
             if state.passthrough:
                 continue
-            stacked = beamform._stack_frames(
-                sc["mix"][:, :, fi].T, cfg.frame_delay, state.filter_taps
-            )
+            frames = sc["mix"][:, :, fi].T
+            stacked = beamform._stack_frames(frames, cfg.frame_delay, state.filter_taps)
             w_bar = np.concatenate([state.weights, -(state.derev @ state.weights)])
             via_stack = stacked @ w_bar.conj()
-            d = dereverberate(stacked, state.derev)
+            d = dereverberate(frames, stacked, state.derev)
             via_factor = d @ state.weights.conj()
             scale = np.linalg.norm(via_factor)
             np.testing.assert_allclose(via_stack, via_factor, atol=1e-10 * max(scale, 1))

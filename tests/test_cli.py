@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogbeam import aad, cli, metrics
+from cogbeam import aad, cli, linalg, metrics
 from cogbeam.tensorfile import read_tensor, write_tensor
 
 
@@ -321,6 +322,48 @@ class TestEnhance:
         cli.cmd_enhance(cfg, root / "scene", out)
         sig, _ = cli.read_wav(out / "speaker0.wav")
         assert np.all(np.isfinite(sig))
+
+
+# Runs enhance in a fresh interpreter; with "one-cpu" the child first limits
+# its affinity to one CPU, before numpy starts OpenBLAS.
+_ENHANCE_CHILD = """
+import os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cogbeam.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.skipif(
+    linalg._openblas_threads() is None, reason="numpy's OpenBLAS exposes no thread setting"
+)
+def test_enhance_same_bytes_for_any_blas_threads_and_cpu_count(tmp_path):
+    cfg_path = write_config(
+        tmp_path,
+        scene={"duration_s": 2.0, "n_mics": 4, "t60_s": 0.5, "noise_gain": 0.1},
+        stft={"frame_length": 128, "hop": 32},
+        aad={"trial_seconds": 1.0},
+    )
+    cli.cmd_simulate(cli.load_config(cfg_path), tmp_path / "scene")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for setting, threads in (("blas-default", None), ("blas-1", "1"), ("one-cpu", None)):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / setting
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENHANCE_CHILD, setting, "enhance", "--config",
+             str(cfg_path), "--scene", str(tmp_path / "scene"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[setting] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outputs["blas-default"]) == ["diagnostics.json", "speaker0.wav", "speaker1.wav"]
+    assert outputs["blas-default"] == outputs["blas-1"] == outputs["one-cpu"]
 
 
 class TestDecode:

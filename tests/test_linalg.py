@@ -134,3 +134,36 @@ class TestMaxGeneralizedEigvec:
             linalg.max_generalized_eigvec(
                 np.eye(2, dtype=complex), -np.eye(2, dtype=complex)
             )
+
+
+@pytest.mark.skipif(
+    linalg._openblas_threads() is None, reason="numpy's OpenBLAS exposes no thread setting"
+)
+class TestOneBlasThread:
+    @pytest.fixture
+    def threads(self):
+        # start from two threads, a count the pin must restore
+        get_threads, set_threads = linalg._openblas_threads()
+        before = get_threads()
+        set_threads(2)
+        yield get_threads
+        set_threads(before)
+
+    def test_pins_and_restores(self, threads):
+        with linalg.one_blas_thread() as pinned:
+            assert pinned
+            assert threads() == 1
+        assert threads() == 2
+
+    def test_restores_when_the_body_raises(self, threads):
+        with pytest.raises(RuntimeError, match="body"):
+            with linalg.one_blas_thread():
+                assert threads() == 1
+                raise RuntimeError("body")
+        assert threads() == 2
+
+
+def test_one_blas_thread_without_the_symbols_changes_nothing(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    with linalg.one_blas_thread() as pinned:
+        assert pinned is False

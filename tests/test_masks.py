@@ -172,6 +172,17 @@ class TestMaskIo:
             out = masks.load_masks(path)
         assert out.max() == 1.0 and out.min() == 0.0
 
+    @pytest.mark.parametrize("per_mic", [False, True])
+    def test_non_finite_values_rejected(self, tmp_path, per_mic):
+        m = np.full((3, 4, 5), 1.0 / 3.0)
+        m[1, 2, 3] = np.nan
+        m[2, 0, 0] = np.inf
+        path = tmp_path / "m.cbtf"
+        write_tensor(path, np.stack([m, m]) if per_mic else m)
+        count = 4 if per_mic else 2
+        with pytest.raises(ValueError, match=rf"m\.cbtf: {count} non-finite"):
+            masks.load_masks(path)
+
     def test_per_mic_sets_aligned_and_averaged(self, tmp_path):
         rng = np.random.default_rng(13)
         ref = random_mask_set(rng)
