@@ -10,16 +10,27 @@ output variance; the conventional variants are the single-round case without
 prediction, on the unit-variance raw-signal covariance or a supplied noise
 covariance. Steering comes from masks or from the caller.
 
+One call can solve several speakers of the same mixture: the steering
+inputs then carry a leading speaker axis, and the kernels run over
+(speakers, bins). A chunk's frames are stacked once for all speakers, and
+what does not depend on the speaker is computed once: the first round of
+the convolutional types weights every speaker by the frame power of the
+mixture, so its prediction filter, dereverberated frames and covariance are
+shared, as is the unit-variance covariance of the conventional types. Only
+the stacked-frame products of later rounds run speaker by speaker.
+
 Numpy's OpenBLAS is pinned to one thread while chunks are solved
 (``linalg.one_blas_thread``). The multi-round solves of the convolutional
 types run their chunks on a thread pool with one worker per CPU of the
 process's affinity mask, at most two; single-round solves, and every solve
-where OpenBLAS cannot be pinned, run on the calling thread. A bin's solve does
-not depend on the chunk it shares, and the results are assembled in chunk
-order, so the output bits are the same for any worker count and any BLAS
-thread setting.
+where OpenBLAS cannot be pinned, run on the calling thread. The solve of a
+(speaker, bin) pair does not depend on the chunk or the speakers it shares,
+and the results are assembled in chunk order, so the output bits are the
+same for any worker count, any BLAS thread setting, and whether the
+speakers are solved together or one by one.
 
-Shapes used throughout (per bin; stacks add a leading bin axis):
+Shapes used throughout (per bin; stacks add a leading bin axis, joint
+solves a speaker axis before it):
     spectrogram    (M, K, F) complex
     mask plane     (K, F) real in [0, 1]
     frames         (K, M) complex, frames as rows
@@ -65,17 +76,19 @@ _COND_LIMIT = 1e12
 # Byte budget of the stacked observations of the chunks in flight: with w
 # workers, each chunk fits _CHUNK_BYTES / w, but holds at least one bin.
 # Each worker holds two buffers of the largest chunk, the stacked frames and
-# their variance-scaled conjugate, so the pool's buffers total about twice
-# the budget while a bin fits a worker's share, and 2 w times the largest
-# bin once a bin is larger (a 20-tap bin of a 60 s, 4-mic scene with a
-# 128-sample STFT is 8.2 MB). Smaller chunks cost more calls per bin: the
-# wMPDR solve of both speakers of a 2 s, 4-mic scene with a 128-sample STFT
-# takes 1.19 s with one worker at 4 MiB, 1.53 s at 512 KiB, and 0.85 s with
-# two workers at 2 MiB each (medians of 5, 2 cores, one BLAS thread).
+# their variance-scaled conjugate, which all speakers of a chunk share, so
+# the pool's buffers total about twice the budget while a bin fits a
+# worker's share, and 2 w times the largest bin once a bin is larger (a
+# 20-tap bin of a 60 s, 4-mic scene with the default 512-sample STFT is
+# 8.2 MB). Smaller chunks cost more calls per bin: the joint wMPDR solve of
+# both speakers of a 2 s, 4-mic scene with a 128-sample STFT takes 0.78-0.82
+# s of CPU with one worker at 4 MiB, 1.13-1.34 s at 512 KiB, and 0.97-1.04 s
+# with two workers at 2 MiB each (0.58-0.63 s of wall time; medians of 7,
+# two runs each, 2 cores, one BLAS thread).
 _CHUNK_BYTES = 4 << 20
 
-# The pool's worker count is capped at the two it was measured with. The
-# solve holds the GIL for about 0.5 ms per chunk-round, and more workers
+# The pool's worker count is capped at the two it was measured with. Each
+# chunk-round holds the GIL for its small-matrix kernels, and more workers
 # mean smaller chunks, more rounds and more buffers; whether time and peak
 # memory still improve on more cores has not been measured.
 _MAX_WORKERS = 2
@@ -97,6 +110,8 @@ class ConvBeamformerConfig:
     prediction-filter lengths; the final band must leave ``hi`` as None so it
     extends to Nyquist. ``lambda_floor`` is relative to the bin's mean frame
     power, keeping the variance weights homogeneous under input scaling.
+    ``reference_mic`` is one microphone index, or one per speaker of a joint
+    solve.
     """
 
     frame_delay: int = 4
@@ -155,18 +170,39 @@ class BinState:
 
 @dataclass
 class Diagnostics:
-    objective: np.ndarray  # (iterations,) variance-weighted power proxy, bin sum
-    objective_per_bin: np.ndarray  # (iterations, F), NaN where unavailable
-    max_constraint_residual: float
-    constraint_residual_per_bin: np.ndarray  # (F,) max |C^H q - p|, NaN if passthrough
-    failed_bins: list = field(default_factory=list)  # (bin, iteration, message)
+    """Per-bin record of a solve; a joint solve of S speakers adds a leading
+    speaker axis to the arrays and the speaker to each failure."""
+
+    objective: np.ndarray  # ([S,] iterations) variance-weighted power proxy, bin sum
+    objective_per_bin: np.ndarray  # ([S,] iterations, F), NaN where unavailable
+    max_constraint_residual: float  # over all speakers
+    constraint_residual_per_bin: np.ndarray  # ([S,] F) max |C^H q - p|, NaN if passthrough
+    failed_bins: list = field(default_factory=list)  # ([speaker,] bin, iteration, message)
 
 
 @dataclass
 class BeamformerOutput:
-    z: np.ndarray  # (K, F) complex
-    states: list  # BinState per bin
+    z: np.ndarray  # ([S,] K, F) complex
+    states: list  # BinState per bin, S * F of them speaker by speaker for S speakers
     diagnostics: Diagnostics
+
+    def speaker(self, i):
+        """Speaker ``i`` of a joint solve, as a solve of that speaker alone
+        returns it."""
+        f = self.z.shape[-1]
+        diag = self.diagnostics
+        residuals = diag.constraint_residual_per_bin[i]
+        return BeamformerOutput(
+            self.z[i],
+            self.states[i * f : (i + 1) * f],
+            Diagnostics(
+                objective=diag.objective[i],
+                objective_per_bin=diag.objective_per_bin[i],
+                max_constraint_residual=float(np.nanmax(residuals, initial=0.0)),
+                constraint_residual_per_bin=residuals,
+                failed_bins=[failure[1:] for failure in diag.failed_bins if failure[0] == i],
+            ),
+        )
 
 
 _CONTAINED = (np.linalg.LinAlgError, DegenerateMaskError, ConstraintRankError)
@@ -243,6 +279,8 @@ def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
     weight-averaged covariance of the source (weights) and of everything
     else (1 - weights), whitens, takes the dominant generalized eigenvector,
     de-whitens, and normalizes the reference-microphone entry to one.
+    ``reference_mic`` is an index, or an index array broadcast against the
+    leading axes. Leading axes of ``frames`` and ``weights`` broadcast.
     Raises DegenerateMaskError when either covariance of any bin is empty.
     """
     frames = np.asarray(frames)
@@ -255,9 +293,8 @@ def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
             f"mask leaves no frames for one side (sum={_first(w_sum, empty):.3g}, "
             f"complement={_first(c_sum, empty):.3g})"
         )
-    conj = frames.conj()
     cov_src, cov_rest = (
-        _hermitian_part((frames * w[..., None]).swapaxes(-1, -2) @ conj / total[..., None, None])
+        _weighted_covariance(frames, w, total)
         for w, total in ((weights, w_sum), (1.0 - weights, c_sum))
     )
     if not (np.all(np.any(cov_src, axis=(-2, -1))) and np.all(np.any(cov_rest, axis=(-2, -1)))):
@@ -265,10 +302,24 @@ def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
     cov_rest = linalg.loaded(cov_rest, ridge)
     vec, _ = linalg.max_generalized_eigvec(cov_src, cov_rest)
     steering = (cov_rest @ vec[..., None])[..., 0]
-    ref = steering[..., reference_mic]
+    ref_index = np.broadcast_to(np.asarray(reference_mic)[..., None], steering.shape[:-1] + (1,))
+    ref = np.take_along_axis(steering, ref_index, axis=-1)[..., 0]
     if np.any(np.abs(ref) < 1e-12 * np.linalg.norm(steering, axis=-1)):
         raise DegenerateMaskError("steering vector vanishes at the reference microphone")
     return steering / ref[..., None]
+
+
+def _weighted_covariance(frames, weights, total):
+    """Hermitian part of the sum over frames of ``weights_k frames_k
+    frames_k^H``, divided by ``total``.
+
+    Computed, as in ``_weighted_correlations``, as the conjugate of
+    ``(weights * conj(frames))^T @ frames``: the same bits, with the
+    weighted copy the only frame-sized temporary.
+    """
+    scaled = frames * weights[..., None]
+    np.conjugate(scaled, out=scaled)
+    return _hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ frames) / total[..., None, None])
 
 
 def wlcmp_solve(cov, constraints, response, ridge=1e-8):
@@ -308,37 +359,44 @@ def _constraint_set(target, interferers, delta):
     return constraints, np.broadcast_to(response, target.shape[:-1] + response.shape)
 
 
-def _round(inputs, lam, cfg, delta, scaled=None):
-    """One round of the shared solve for a stack of bins.
+def _round(shared, per_speaker, lam, cfg, delta, scaled=None):
+    """One round of the shared solve for a grid of (speaker, bin) pairs.
 
-    ``inputs`` holds per-bin arrays with a leading bin axis: ``frames``;
-    when predicting, ``stacked``; and the steering source, either ``mask``
-    (plus optional ``interferer_masks`` (bins, U, K)) or ``steering`` and
-    ``noise_cov`` (plus optional ``interferer_steering`` (bins, M, U)).
-    ``scaled``, when given, is the flat buffer that holds the
-    variance-scaled conjugate of the stacked frames. Returns (z, G or None,
-    q, constraints, response).
+    ``shared`` holds the arrays every speaker uses, with a leading bin axis:
+    ``frames``; when predicting, ``stacked``; with supplied steering,
+    ``noise_cov``. ``per_speaker`` holds arrays with leading (speakers, bins)
+    axes: ``reference_mic`` and the steering source, either ``mask`` (plus
+    optional ``interferer_masks`` (..., U, K)) or ``steering`` (plus optional
+    ``interferer_steering`` (..., M, U)). ``lam`` (L, bins, K) holds the
+    frame variances of each speaker, or with L = 1 of all speakers, whose
+    prediction filter and covariance are then solved once. ``scaled``, when
+    given, is the flat buffer that holds the variance-scaled conjugate of
+    the stacked frames. Returns (z, G or None, q, constraints, response),
+    with leading (speakers, bins) axes, (L, bins) for G.
     """
-    y = inputs["frames"]
+    y = shared["frames"]
     m = y.shape[-1]
     derev = None
-    d = y
-    if "stacked" in inputs:
-        stacked = inputs["stacked"]
-        r_delay, p_cross, _ = _weighted_correlations(stacked, lam, m, scaled)
-        derev = linalg.hermitian_solve(r_delay, p_cross, cfg.ridge)
+    d = y[None]
+    if "stacked" in shared:
+        stacked = shared["stacked"]
+        # the one scaled buffer serves the speakers in turn
+        grams = [_weighted_correlations(stacked, lam_s, m, scaled)[2] for lam_s in lam]
+        r_full = np.stack(grams) if len(grams) > 1 else grams[0][None]
+        derev = linalg.hermitian_solve(r_full[..., m:, m:], r_full[..., m:, :m], cfg.ridge)
         d = dereverberate(y, stacked, derev)
-    if "noise_cov" in inputs:
-        cov, target = inputs["noise_cov"], inputs["steering"]
-        interferers = inputs.get("interferer_steering")
+    if "noise_cov" in shared:
+        cov, target = shared["noise_cov"], per_speaker["steering"]
+        interferers = per_speaker.get("interferer_steering")
     else:
         cov = weighted_correlations(d, lam, m)[2]
-        target = estimate_retf(d, inputs["mask"], cfg.reference_mic, cfg.ridge)
+        ref = per_speaker["reference_mic"]
+        target = estimate_retf(d, per_speaker["mask"], ref, cfg.ridge)
         interferers = None
-        if "interferer_masks" in inputs:
+        if "interferer_masks" in per_speaker:
             retfs = [
-                estimate_retf(d, im, cfg.reference_mic, cfg.ridge)
-                for im in inputs["interferer_masks"].swapaxes(0, 1)
+                estimate_retf(d, im, ref, cfg.ridge)
+                for im in np.moveaxis(per_speaker["interferer_masks"], -2, 0)
             ]
             interferers = np.stack(retfs, axis=-1)
     constraints, response = _constraint_set(target, interferers, delta)
@@ -347,53 +405,89 @@ def _round(inputs, lam, cfg, delta, scaled=None):
     return z, derev, weights, constraints, response
 
 
-def _solve_chunk(inputs, cfg, rounds, delta, scaled=None):
-    """Run the shared solve on one chunk, containing failures per bin.
+def _grids(alive):
+    """(speakers, bins) index arrays that cover the alive pairs of a
+    (speakers, bins) mask: speakers with the same alive bins share a grid."""
+    groups = {}
+    for s, row in enumerate(alive):
+        if row.any():
+            groups.setdefault(row.tobytes(), []).append(s)
+    return [(np.array(spk), np.flatnonzero(alive[spk[0]])) for spk in groups.values()]
 
-    A round that raises for the chunk is repeated bin by bin: the bins that
-    raise again are dropped with their (local bin, round, message) record,
-    the others keep the results of their single-bin run, which are the
-    values the chunk run computes for them. ``scaled`` is passed to every
-    round. Returns (surviving local bins, their final-round outputs,
-    (rounds, bins) objective, failures).
+
+def _solve_chunk(shared, per_speaker, cfg, rounds, delta, scaled=None):
+    """Run the shared solve on one chunk for every speaker, containing
+    failures per (speaker, bin) pair.
+
+    Each round solves one grid of pairs per group of speakers with the same
+    surviving bins. A grid that raises is repeated pair by pair: the pairs
+    that raise again are dropped with their (speaker, local bin, round,
+    message) record, the others keep the results of their single-pair run,
+    which are the values the grid run computes for them. ``scaled`` is
+    passed to every round. Returns ((speakers, bins) mask of the solved
+    pairs, their final-round outputs with leading (speakers, bins) axes or
+    None if no pair is left, (rounds, speakers, bins) objective, failures).
     """
-    y = inputs["frames"]
-    n_bins = y.shape[0]
-    alive = np.arange(n_bins)
-    objective = np.full((rounds, n_bins), np.nan)
+    y = shared["frames"]
+    n_spk, n_bins = per_speaker["reference_mic"].shape
+    alive = np.ones((n_spk, n_bins), dtype=bool)
+    objective = np.full((rounds, n_spk, n_bins), np.nan)
     failures = []
-    weighted = "stacked" in inputs
+    weighted = "stacked" in shared
+    # the first round weights every speaker alike: one row for all
     if weighted:
         frame_power = (np.abs(y) ** 2).sum(axis=-1)
         floor = np.maximum(cfg.lambda_floor * frame_power.mean(axis=-1), np.finfo(float).tiny)
-        lam = np.maximum(frame_power, floor[:, None])
+        lam = np.maximum(frame_power, floor[:, None])[None]
     else:
-        lam = np.ones(y.shape[:-1])
+        lam = np.ones((1,) + y.shape[:-1])
+    final = None
+
+    def solve(grid, bins):
+        sub = shared if len(bins) == n_bins else {k: v[bins] for k, v in shared.items()}
+        sub_per = {k: v[grid] for k, v in per_speaker.items()}
+        lam_pairs = lam[grid] if len(lam) > 1 else lam[:, bins]
+        return _round(sub, sub_per, lam_pairs, cfg, delta, scaled)
+
     for it in range(rounds):
-        sub = inputs if alive.size == n_bins else {k: v[alive] for k, v in inputs.items()}
-        try:
-            out = _round(sub, lam[alive], cfg, delta, scaled)
-        except _CONTAINED:
-            parts, keep = [], []
-            for b in alive:
-                try:
-                    single = {k: v[[b]] for k, v in inputs.items()}
-                    parts.append(_round(single, lam[[b]], cfg, delta, scaled))
-                    keep.append(b)
-                except _CONTAINED as exc:
-                    failures.append((b, it, str(exc)))
-            alive = np.array(keep, dtype=int)
-            if not keep:
-                return alive, None, objective, failures
-            out = tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
-        if weighted:
-            power = np.abs(out[0]) ** 2
-            lam[alive] = np.maximum(power, floor[alive, None])
-            log_term = np.log(lam[alive]).sum(axis=-1)
-            objective[it, alive] = log_term + (power / lam[alive]).sum(axis=-1)
-    finite = np.all(np.isfinite(out[0]), axis=-1)
-    failures += [(b, rounds - 1, "non-finite output") for b in alive[~finite]]
-    return alive[finite], [None if a is None else a[finite] for a in out], objective, failures
+        # after the first round, each speaker has variances of its own
+        lam_out = np.empty((n_spk,) + lam.shape[1:]) if weighted and len(lam) < n_spk else lam
+
+        def record(grid, bins, out):
+            nonlocal final
+            if weighted:
+                power = np.abs(out[0]) ** 2
+                lam_out[grid] = lam_pairs = np.maximum(power, floor[bins, None])
+                log_term = np.log(lam_pairs).sum(axis=-1)
+                objective[it][grid] = log_term + (power / lam_pairs).sum(axis=-1)
+            if it == rounds - 1:
+                if final is None:
+                    final = [
+                        None if a is None else np.zeros((n_spk, n_bins) + a.shape[2:], a.dtype)
+                        for a in out
+                    ]
+                for store, a in zip(final, out):
+                    if store is not None:
+                        store[grid] = a
+
+        for speakers, bins in _grids(alive):
+            grid = np.ix_(speakers, bins)
+            try:
+                record(grid, bins, solve(grid, bins))
+            except _CONTAINED:
+                for s, b in itertools.product(speakers, bins):
+                    pair = np.ix_([s], [b])
+                    try:
+                        record(pair, [b], solve(pair, [b]))
+                    except _CONTAINED as exc:
+                        alive[s, b] = False
+                        failures.append((int(s), int(b), it, str(exc)))
+        if not alive.any():
+            return alive, None, objective, failures
+        lam = lam_out
+    bad = alive & ~np.all(np.isfinite(final[0]), axis=-1)
+    failures += [(int(s), int(b), rounds - 1, "non-finite output") for s, b in np.argwhere(bad)]
+    return alive & ~bad, final, objective, failures
 
 
 def _chunks(keys, bytes_per_bin):
@@ -427,29 +521,34 @@ def _passthrough_state(m, l_w, reference_mic):
     return BinState(l_w, None, weights, None, None, passthrough=True)
 
 
-def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
-    """The shared constrained minimum-power solve over all bins.
+def _beamform(spec, cfg, shared, per_speaker, delta, convolutional, sample_rate=16000):
+    """The shared constrained minimum-power solve over all bins and speakers.
 
-    ``per_bin`` maps the steering inputs of ``_round`` to arrays with a
-    leading (F,) bin axis. ``convolutional`` adds the prediction filter and
-    ``cfg.iterations`` rounds of variance reweighting; otherwise one round
-    runs on unit variances. Bins whose solve fails fall back to a
-    reference-microphone passthrough.
+    ``shared`` maps the inputs of ``_round`` that all speakers use to arrays
+    with a leading (F,) bin axis, ``per_speaker`` the steering inputs to
+    arrays with leading (S, F) axes. ``convolutional`` adds the prediction
+    filter and ``cfg.iterations`` rounds of variance reweighting; otherwise
+    one round runs on unit variances. Pairs whose solve fails fall back to a
+    passthrough of the speaker's reference microphone. Returns the joint
+    output of the S speakers.
     """
     m, k, f = spec.shape
+    n_spk = len(per_speaker["mask" if "mask" in per_speaker else "steering"])
+    ref_mics = np.broadcast_to(np.asarray(cfg.reference_mic, dtype=int), (n_spk,))
+    per_speaker = dict(per_speaker, reference_mic=np.broadcast_to(ref_mics[:, None], (n_spk, f)))
     rounds = cfg.iterations if convolutional else 1
     # filter length per bin; 0: no prediction filter
     taps = [0] * f
     if convolutional:
         taps = [cfg.filter_length(fi * sample_rate / (2 * f - 2)) for fi in range(f)]
     # without supplied steering, all-zero bins pass through unrecorded
-    solvable = np.any(spec, axis=(0, 1)) if "mask" in per_bin else np.ones(f, bool)
+    solvable = np.any(spec, axis=(0, 1)) if "mask" in per_speaker else np.ones(f, bool)
     keys = [t if ok else None for t, ok in zip(taps, solvable)]
 
-    z = spec[cfg.reference_mic].astype(complex)
-    states = [_passthrough_state(m, t or 1, cfg.reference_mic) for t in taps]
-    objective_per_bin = np.full((rounds if convolutional else 0, f), np.nan)
-    residuals = np.full(f, np.nan)
+    z = spec[ref_mics].astype(complex, copy=False)
+    states = [_passthrough_state(m, t or 1, ref) for ref in ref_mics for t in taps]
+    objective_per_bin = np.full((n_spk, rounds if convolutional else 0, f), np.nan)
+    residuals = np.full((n_spk, f), np.nan)
     failures = []
 
     with linalg.one_blas_thread() as pinned:
@@ -462,26 +561,30 @@ def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
         if pinned and rounds > 1 and hasattr(os, "sched_getaffinity"):  # Linux
             workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
         # each worker's chunks fit its share of the byte budget
-        chunks = list(_chunks(keys, lambda l_w: workers * _bin_bytes(k, m, l_w, cfg)))
-        results = _solve_chunks(spec, per_bin, chunks, workers, cfg, rounds, delta)
-    for (l_w, bins), (alive, out, objective, chunk_failures) in zip(chunks, results):
-        failures += [(int(bins[b]), it, msg) for b, it, msg in chunk_failures]
-        if out is None:
-            continue
-        solved = bins[alive]
-        z_c, derev, weights, constraints, response = out
-        z[:, solved] = z_c.T
-        if convolutional:
-            objective_per_bin[:, solved] = objective[:, alive]
-        gain = (constraints.conj().swapaxes(-1, -2) @ weights[..., None])[..., 0]
-        residuals[solved] = np.max(np.abs(gain - response), axis=-1)
-        for j, fi in enumerate(solved):
-            interferers = constraints[j, :, 1:] if constraints.shape[-1] > 1 else None
-            derev_j = None if derev is None else derev[j]
-            states[fi] = BinState(l_w or 1, derev_j, weights[j], constraints[j, :, 0], interferers)
+        chunks = list(_chunks(keys, lambda l_w: workers * _bin_bytes(k, m, l_w, cfg, n_spk)))
+        results = _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds, delta)
+        for (l_w, bins), (alive, out, objective, chunk_failures) in zip(chunks, results):
+            failures += [(s, int(bins[b]), it, msg) for s, b, it, msg in chunk_failures]
+            if out is None:
+                continue
+            z_c, derev, weights, constraints, response = out
+            gain = (constraints.conj().swapaxes(-1, -2) @ weights[..., None])[..., 0]
+            residual = np.max(np.abs(gain - response), axis=-1)
+            for s, j in np.argwhere(alive):
+                interferers = constraints[s, j, :, 1:] if constraints.shape[-1] > 1 else None
+                derev_j = None if derev is None else derev[s, j]
+                states[s * f + bins[j]] = BinState(
+                    l_w or 1, derev_j, weights[s, j], constraints[s, j, :, 0], interferers
+                )
+            for s, ok in enumerate(alive):
+                solved = bins[ok]
+                z[s][:, solved] = z_c[s, ok].T
+                if convolutional:
+                    objective_per_bin[s][:, solved] = objective[:, s, ok]
+                residuals[s, solved] = residual[s, ok]
 
     diagnostics = Diagnostics(
-        objective=np.nansum(objective_per_bin, axis=1),
+        objective=np.nansum(objective_per_bin, axis=-1),
         objective_per_bin=objective_per_bin,
         max_constraint_residual=float(np.nanmax(residuals, initial=0.0)),
         constraint_residual_per_bin=residuals,
@@ -490,16 +593,18 @@ def _beamform(spec, cfg, per_bin, delta, convolutional, sample_rate=16000):
     return BeamformerOutput(z, states, diagnostics)
 
 
-def _solve_chunks(spec, per_bin, chunks, workers, cfg, rounds, delta):
+def _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds, delta):
     """``_solve_chunk`` of every chunk on a pool of ``workers`` threads, or on
-    the calling thread for one worker; the results in chunk order.
+    the calling thread for one worker; yields the results in chunk order, so
+    that each is assembled and dropped while later chunks are solved.
 
     Each worker holds two flat buffers sized for the largest chunk, for the
     stacked frames and their variance-scaled conjugate, and reuses them for
-    every chunk and round it solves: a fresh array of that size faults its
-    pages in again on each allocation.
+    every chunk, round and speaker it solves: a fresh array of that size
+    faults its pages in again on each allocation.
     """
     m, k, _ = spec.shape
+    speakers = np.arange(len(per_speaker["reference_mic"]))
     size = max(
         (bins.size * _bin_bytes(k, m, l_w, cfg) // 16 for l_w, bins in chunks if l_w), default=0
     )
@@ -512,36 +617,62 @@ def _solve_chunks(spec, per_bin, chunks, workers, cfg, rounds, delta):
         l_w, bins = chunk
         stacked_buf, scaled_buf = buffers.get()
         try:
-            inputs = {name: values[bins] for name, values in per_bin.items()}
-            inputs["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w, stacked_buf)
+            chunk_shared = {name: values[bins] for name, values in shared.items()}
+            chunk_shared["frames"], stacked = _chunk_frames(spec, bins, cfg, l_w, stacked_buf)
             if stacked is not None:
-                inputs["stacked"] = stacked
-            return _solve_chunk(inputs, cfg, rounds, delta, scaled_buf)
+                chunk_shared["stacked"] = stacked
+            # a C-contiguous (speakers, bins) copy; ``take`` would first copy all bins
+            grid = np.ix_(speakers, bins)
+            chunk_per = {name: values[grid] for name, values in per_speaker.items()}
+            return _solve_chunk(chunk_shared, chunk_per, cfg, rounds, delta, scaled_buf)
         finally:
             buffers.put((stacked_buf, scaled_buf))
 
     if workers == 1:
-        return [solve(chunk) for chunk in chunks]
+        yield from map(solve, chunks)
+        return
     pool = ThreadPoolExecutor(workers)
     try:
-        return list(pool.map(solve, chunks))
+        yield from pool.map(solve, chunks)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _bin_bytes(k, m, l_w, cfg):
-    """Bytes of one bin's stacked observations (l_w 0: no prediction filter)."""
-    return 16 * k * m * (l_w - cfg.frame_delay + 1 if l_w else 1)
+def _bin_bytes(k, m, l_w, cfg, speakers=1):
+    """Bytes of one bin's stacked observations, or without a prediction
+    filter (l_w 0) of its frames once per speaker: the steering estimate
+    and the output of a single-round solve hold frame-sized arrays per
+    speaker."""
+    return 16 * k * m * (l_w - cfg.frame_delay + 1 if l_w else speakers)
 
 
-def _mask_inputs(target_mask, interferer_masks):
-    """The mask inputs of ``_round`` with a leading bin axis. ``interferer_masks``
-    is a list, empty for the target-only constraint set."""
-    per_bin = {"mask": np.asarray(target_mask, dtype=float).T}
-    if interferer_masks:
-        masks = [np.asarray(im, dtype=float).T for im in interferer_masks]
-        per_bin["interferer_masks"] = np.stack(masks, axis=1)
-    return per_bin
+def _result(out, joint):
+    """What an entry point returns: the joint output of a joint call, the
+    one speaker's output otherwise."""
+    return out if joint else out.speaker(0)
+
+
+def _mask_inputs(target_mask, interferer_masks, k, f):
+    """The per-speaker mask inputs of ``_round`` with leading (S, F) axes and
+    whether they come from a joint (S, K, F) target stack rather than one
+    (K, F) mask. ``interferer_masks`` is ([S,] U, K, F); None or empty for
+    the target-only constraint set."""
+    target = np.asarray(target_mask, dtype=float)
+    if target.ndim not in (2, 3) or target.shape[-2:] != (k, f):
+        raise ValueError(
+            f"target mask shape {target.shape} does not match frames/bins {(k, f)}"
+        )
+    joint = target.ndim == 3
+    per_speaker = {"mask": np.swapaxes(target.reshape((-1, k, f)), -1, -2)}
+    others = np.asarray([] if interferer_masks is None else interferer_masks, dtype=float)
+    if others.size:
+        if others.ndim != target.ndim + 1 or others.shape[:-3] + others.shape[-2:] != target.shape:
+            raise ValueError(
+                f"interferer mask shape mismatch: {others.shape} for target {target.shape}"
+            )
+        others = others.reshape((-1,) + others.shape[-3:])
+        per_speaker["interferer_masks"] = np.moveaxis(others, -1, 1)  # (S, F, U, K)
+    return per_speaker, joint
 
 
 def run_conv_beamformer(
@@ -551,58 +682,63 @@ def run_conv_beamformer(
     steering, weight and variance updates for ``cfg.iterations`` rounds.
 
     ``mode`` is "wmpdr" (distortionless only) or "wlcmp" (adds one response
-    constraint per interferer mask at level ``cfg.delta``). Bins whose solve
-    fails fall back to a reference-microphone passthrough and are recorded in
-    the diagnostics instead of aborting the utterance.
+    constraint per interferer mask at level ``cfg.delta``). A (K, F)
+    ``target_mask`` with a list of (K, F) interferer masks solves one
+    speaker; an (S, K, F) stack with (S, U, K, F) interferer masks solves S
+    speakers of the mixture in one pass and returns their joint output
+    (``BeamformerOutput.speaker``). Bins whose solve fails fall back to a
+    reference-microphone passthrough and are recorded in the diagnostics
+    instead of aborting the utterance.
     """
     cfg = cfg or ConvBeamformerConfig()
     if mode not in ("wmpdr", "wlcmp"):
         raise ValueError(f"unknown mode {mode!r}")
     spec = np.asarray(spec)
     _, k, f = spec.shape
-    if np.shape(target_mask) != (k, f):
-        raise ValueError(
-            f"target mask shape {np.shape(target_mask)} does not match frames/bins {(k, f)}"
-        )
-    interferer_masks = [] if interferer_masks is None else list(interferer_masks)
-    if any(np.shape(im) != (k, f) for im in interferer_masks):
-        raise ValueError("interferer mask shape mismatch")
-    per_bin = _mask_inputs(target_mask, interferer_masks if mode == "wlcmp" else [])
-    return _beamform(spec, cfg, per_bin, cfg.delta, True, sample_rate)
+    interferers = interferer_masks if mode == "wlcmp" else None
+    per_speaker, joint = _mask_inputs(target_mask, interferers, k, f)
+    return _result(_beamform(spec, cfg, {}, per_speaker, cfg.delta, True, sample_rate), joint)
 
 
 def mpdr(spec, target_mask, cfg=None):
     """Conventional distortionless minimum-power beamformer on the raw-signal
     covariance, steered by a covariance-whitening estimate from the raw
-    frames. Non-iterative."""
+    frames. Non-iterative. An (S, K, F) ``target_mask`` solves S speakers."""
     cfg = cfg or ConvBeamformerConfig()
-    return _beamform(np.asarray(spec), cfg, _mask_inputs(target_mask, []), None, False)
+    spec = np.asarray(spec)
+    per_speaker, joint = _mask_inputs(target_mask, None, *spec.shape[1:])
+    return _result(_beamform(spec, cfg, {}, per_speaker, None, False), joint)
 
 
 def lcmp(spec, target_mask, interferer_masks, delta=None, cfg=None):
     """Conventional linearly constrained minimum-power beamformer; ``delta``
-    sets the per-interferer response (0 = hard null)."""
+    sets the per-interferer response (0 = hard null). An (S, K, F)
+    ``target_mask`` with (S, U, K, F) interferer masks solves S speakers."""
     cfg = cfg or ConvBeamformerConfig()
     if delta is None:
         delta = cfg.delta
-    per_bin = _mask_inputs(target_mask, list(interferer_masks))
-    return _beamform(np.asarray(spec), cfg, per_bin, delta, False)
+    spec = np.asarray(spec)
+    per_speaker, joint = _mask_inputs(target_mask, interferer_masks, *spec.shape[1:])
+    return _result(_beamform(spec, cfg, {}, per_speaker, delta, False), joint)
 
 
 def mvdr_lcmv(spec, steering, noise_cov, delta=None, interferer_steering=None, cfg=None):
-    """Minimum-variance beamformer with caller-supplied steering vectors and
-    per-bin noise covariance; with ``delta`` and interferer steering it
-    becomes the constrained variant."""
+    """Minimum-variance beamformer with caller-supplied (F, M) steering
+    vectors and (F, M, M) noise covariance; with ``delta`` and (F, M, U)
+    interferer steering it becomes the constrained variant. (S, F, M)
+    steering with (S, F, M, U) interferer steering solves S speakers that
+    share the noise covariance."""
     cfg = cfg or ConvBeamformerConfig()
-    per_bin = {
-        "steering": np.asarray(steering, dtype=complex),
-        "noise_cov": np.asarray(noise_cov, dtype=complex),
-    }
+    steering = np.asarray(steering, dtype=complex)
+    joint = steering.ndim == 3
+    per_speaker = {"steering": steering.reshape((-1,) + steering.shape[-2:])}
     if interferer_steering is not None:
-        per_bin["interferer_steering"] = np.asarray(interferer_steering, dtype=complex)
+        others = np.asarray(interferer_steering, dtype=complex)
+        per_speaker["interferer_steering"] = others.reshape((-1,) + others.shape[-3:])
         if delta is None:
             delta = cfg.delta
-    return _beamform(np.asarray(spec), cfg, per_bin, delta, False)
+    shared = {"noise_cov": np.asarray(noise_cov, dtype=complex)}
+    return _result(_beamform(np.asarray(spec), cfg, shared, per_speaker, delta, False), joint)
 
 
 def apply_bin_filters(states, spec, cfg=None):

@@ -404,11 +404,12 @@ def _noise_covariance(noise, stft_cfg):
 
 
 def cmd_enhance(cfg, scene_dir, out_dir):
-    """Run the configured beamformer once per speaker; write WAV outputs.
+    """Run the configured beamformer once for all speakers; write WAV outputs.
 
     Reads mics.wav and the scene tensors the beamformer type's steering
     needs (``_BEAMFORMERS``); oracle masks are built before the mixture is
-    analyzed, and no scene tensor is held while beamforming.
+    analyzed, and no scene tensor is held while beamforming. One beamformer
+    call solves every speaker, each with its own reference microphone.
     """
     _check_trial_count(cfg)
     out = Path(out_dir)
@@ -430,28 +431,31 @@ def cmd_enhance(cfg, scene_dir, out_dir):
     if source == "masks" and cfg.masks.source == "file":
         mask_set = _file_masks(cfg.masks.path, mix_spec.shape[1:])
 
+    speakers = range(n_speakers)
+    others = [[j for j in speakers if j != i] for i in speakers]
+    bf_cfg = replace(cfg.beamformer, reference_mic=tuple(ref_mics))
+    if source == "masks":
+        inputs = {"target_mask": mask_set[:n_speakers]}
+        if constrained:
+            inputs["interferer_masks"] = mask_set[np.array(others)]  # (I, I - 1, K, F)
+    else:
+
+        def steering(j, i):  # speaker j's steering at speaker i's reference
+            return _anechoic_steering(anech_irs, cfg, j, ref_mics[i])
+
+        inputs = {"steering": np.stack([steering(i, i) for i in speakers]), "noise_cov": noise_cov}
+        if constrained:  # (I, bins, mics, I - 1)
+            inputs["interferer_steering"] = np.stack(
+                [np.stack([steering(j, i) for j in others[i]], axis=2) for i in speakers]
+            )
+    if entry == "run_conv_beamformer":
+        inputs.update(mode="wlcmp" if constrained else "wmpdr", sample_rate=fs)
+    # looked up at call time, so a wrapper installed on the module applies
+    joint = getattr(beamform, entry)(mix_spec, cfg=bf_cfg, **inputs)
+
     diag_all = {}
-    for i in range(n_speakers):
-        bf_cfg = replace(cfg.beamformer, reference_mic=ref_mics[i])
-        others = [j for j in range(n_speakers) if j != i]
-        if source == "masks":
-            inputs = {"target_mask": mask_set[i]}
-            if constrained:
-                inputs["interferer_masks"] = [mask_set[j] for j in others]
-        else:
-            inputs = {
-                "steering": _anechoic_steering(anech_irs, cfg, i, ref_mics[i]),
-                "noise_cov": noise_cov,
-            }
-            if constrained:
-                others_steer = [
-                    _anechoic_steering(anech_irs, cfg, j, ref_mics[i]) for j in others
-                ]
-                inputs["interferer_steering"] = np.stack(others_steer, axis=2)  # (bins, mics, U)
-        if entry == "run_conv_beamformer":
-            inputs.update(mode="wlcmp" if constrained else "wmpdr", sample_rate=fs)
-        # looked up at call time, so a wrapper installed on the module applies
-        result = getattr(beamform, entry)(mix_spec, cfg=bf_cfg, **inputs)
+    for i in speakers:
+        result = joint.speaker(i)
         signal = stft.synthesize(result.z[None], cfg.stft)[0]
         write_wav(out / f"speaker{i}.wav", signal, fs)
         diag = result.diagnostics
@@ -463,11 +467,19 @@ def cmd_enhance(cfg, scene_dir, out_dir):
             "constraint_residual_per_bin": _json_floats(diag.constraint_residual_per_bin),
             "objective": _json_floats(diag.objective),
             "objective_per_bin": _json_floats(diag.objective_per_bin),
+            "rising_rounds_per_bin": _rising_rounds(diag.objective_per_bin, result.states),
         }
     (out / "diagnostics.json").write_text(
         json.dumps(diag_all, indent=2, sort_keys=True)
     )
     return diag_all
+
+
+def _rising_rounds(objective_per_bin, states):
+    """Per bin, the number of rounds whose objective rose above the round
+    before; None for a passthrough bin."""
+    rises = (np.diff(objective_per_bin, axis=0) > 0).sum(axis=0)
+    return [None if state.passthrough else int(n) for n, state in zip(rises, states)]
 
 
 def _json_floats(values):

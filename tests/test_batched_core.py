@@ -4,6 +4,7 @@ plus property tests of the batched kernels."""
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import perbin_oracle
-from cogbeam import beamform, linalg, stft
+from cogbeam import beamform, linalg, masks, scene, stft
 from cogbeam.beamform import ConvBeamformerConfig
 
 ZERO_BIN = 100
@@ -213,6 +214,109 @@ def test_more_workers_than_cpus_under_fast_thread_switching(oracle_scene, monkey
         sys.setswitchinterval(interval)
     assert not solver.is_alive(), "workers waiting for a buffer pair"
     _assert_same_output(one_worker, result["out"])
+
+
+JOINT_DEGENERATE_BIN = 40  # shares a 16-tap chunk with other bins
+JOINT_ZERO_BIN = 100
+JOINT_REFERENCE_MICS = (0, 2, 1)
+
+
+@pytest.fixture(scope="module")
+def three_speakers():
+    """A 3-speaker, 3-mic scene with one all-zero bin, where speaker 1 alone
+    fails one bin: an all-ones target mask for the mask-steered types, a
+    zero steering vector for MVDR / LCMV. Each speaker has its own reference
+    microphone."""
+    fs = 16000
+    sources = [scene.synthetic_speech(1.0, fs, seed=50 + i) for i in range(3)]
+    irs, anech = scene.synthetic_room_irs(3, 3, fs, t60=0.3, seed=51)
+    noise = scene.generate_decorrelated_noise(3, fs + irs.shape[2], "speech", fs, 52)
+    rendered = scene.render(scene.AcousticScene(sources, irs, anech, noise, fs), 0.05)
+    cfg = stft.StftConfig(frame_length=256, hop=64)
+    mix = stft.analyze(rendered.mics, cfg)
+    mix[:, :, JOINT_ZERO_BIN] = 0.0
+    comps = [stft.analyze(c, cfg) for c in rendered.components]
+    noise_spec = stft.analyze(rendered.noise, cfg)
+    mask_set = masks.average_masks([masks.oracle_irm(comps, noise_spec, m) for m in range(3)])
+    targets = mask_set[:3].copy()
+    targets[1, :, JOINT_DEGENERATE_BIN] = 1.0
+    others = [[j for j in range(3) if j != i] for i in range(3)]
+
+    def steering(i, ref):
+        spectra = np.fft.rfft(anech[i], n=cfg.frame_length, axis=1)
+        return (spectra / spectra[ref]).T
+
+    refs = JOINT_REFERENCE_MICS
+    steer = np.stack([steering(i, refs[i]) for i in range(3)])
+    steer[1, JOINT_DEGENERATE_BIN] = 0.0
+    frames = noise_spec.transpose(2, 1, 0)
+    noise_cov = frames.swapaxes(-1, -2) @ frames.conj() / frames.shape[1]
+    return {
+        "mix": mix,
+        "targets": targets,
+        "interferers": mask_set[np.array(others)],
+        "steering": steer,
+        "interferer_steering": np.stack(
+            [np.stack([steering(j, refs[i]) for j in others[i]], axis=2) for i in range(3)]
+        ),
+        "noise_cov": 0.5 * (noise_cov + noise_cov.conj().swapaxes(-1, -2)),
+    }
+
+
+def _solve(sc, kind, cfg, speaker=None):
+    """The joint solve of all speakers, or with ``speaker`` that speaker's
+    own solve."""
+    pick = slice(None) if speaker is None else speaker
+    cfg = replace(cfg, reference_mic=JOINT_REFERENCE_MICS[pick])
+    mix, delta = sc["mix"], cfg.delta
+    target, others = sc["targets"][pick], sc["interferers"][pick]
+    steering, interferer_steering = sc["steering"][pick], sc["interferer_steering"][pick]
+    if kind in ("wMPDR", "wLCMP"):
+        return beamform.run_conv_beamformer(mix, target, others, cfg, kind.lower())
+    if kind == "MPDR":
+        return beamform.mpdr(mix, target, cfg)
+    if kind == "LCMP":
+        return beamform.lcmp(mix, target, others, cfg=cfg)
+    if kind == "MVDR":
+        return beamform.mvdr_lcmv(mix, steering, sc["noise_cov"], cfg=cfg)
+    return beamform.mvdr_lcmv(mix, steering, sc["noise_cov"], delta, interferer_steering, cfg)
+
+
+def _assert_same_bits(a, b):
+    _assert_same_output(a, b)
+    assert [s.filter_taps for s in a.states] == [s.filter_taps for s in b.states]
+    for x, y in zip(a.states, b.states):
+        np.testing.assert_array_equal(x.weights, y.weights)
+        for name in ("derev", "target_retf", "interferer_retfs"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert (u is None) == (v is None)
+            if u is not None:
+                np.testing.assert_array_equal(u, v)
+    np.testing.assert_array_equal(a.diagnostics.objective, b.diagnostics.objective)
+    assert a.diagnostics.max_constraint_residual == b.diagnostics.max_constraint_residual
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_joint_solve_equals_separate_solves_bitwise(three_speakers, monkeypatch, kind):
+    cfg = ConvBeamformerConfig(iterations=3)
+    alone = [_solve(three_speakers, kind, cfg, i) for i in range(3)]
+    assert [fb[:2] for fb in alone[1].diagnostics.failed_bins] == [(JOINT_DEGENERATE_BIN, 0)]
+    assert not alone[0].diagnostics.failed_bins and not alone[2].diagnostics.failed_bins
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        joint = _solve(three_speakers, kind, cfg)
+        f = three_speakers["mix"].shape[2]
+        assert joint.z.shape == (3,) + three_speakers["mix"].shape[1:]
+        assert len(joint.states) == 3 * f
+        assert [fb[:3] for fb in joint.diagnostics.failed_bins] == [(1, JOINT_DEGENERATE_BIN, 0)]
+        for i in range(3):
+            _assert_same_bits(joint.speaker(i), alone[i])
+        failed = joint.speaker(1)
+        assert failed.states[JOINT_DEGENERATE_BIN].passthrough
+        np.testing.assert_array_equal(
+            failed.z[:, JOINT_DEGENERATE_BIN],
+            three_speakers["mix"][JOINT_REFERENCE_MICS[1], :, JOINT_DEGENERATE_BIN],
+        )
 
 
 def test_chunks_fit_the_byte_budget():

@@ -231,6 +231,40 @@ class TestEnhance:
         assert len(speaker["objective_per_bin"]) == 2  # iterations
         assert all(len(row) == n_bins for row in speaker["objective_per_bin"])
 
+    def test_rising_rounds_per_bin(self, pipeline, tmp_path):
+        # speaker 0's all-ones target mask in bin 5 fails that bin, which
+        # passes through with no count
+        from cogbeam import masks as masks_mod
+
+        root, _, _ = pipeline
+        cfg = cli.load_config(write_config(tmp_path, beamformer={"iterations": 4}))
+        mask_set = cli._oracle_masks(root / "scene", cfg.stft)
+        mask_set[0, :, 5] = 1.0
+        mask_path = tmp_path / "masks.cbtf"
+        masks_mod.store_masks(mask_set, mask_path)
+        cfg = cli.load_config(
+            write_config(
+                tmp_path,
+                beamformer={"iterations": 4},
+                masks={"source": "file", "path": str(mask_path)},
+            )
+        )
+        diag = cli.cmd_enhance(cfg, root / "scene", tmp_path / "enh")
+        assert diag == json.loads((tmp_path / "enh" / "diagnostics.json").read_text())
+        assert diag["speaker0"]["failed_bin_list"][0][:2] == [5, 0]
+        for speaker in diag.values():
+            rising = speaker["rising_rounds_per_bin"]
+            objective = np.array(speaker["objective_per_bin"], dtype=float)
+            residuals = speaker["constraint_residual_per_bin"]
+            assert len(rising) == objective.shape[1] == 257
+            for fi, count in enumerate(rising):
+                assert (count is None) == (residuals[fi] is None)
+                if count is not None:
+                    assert count == int(np.sum(np.diff(objective[:, fi]) > 0))
+            assert 0 < max(r for r in rising if r is not None) <= 3
+        assert diag["speaker0"]["rising_rounds_per_bin"][5] is None
+        assert None not in diag["speaker1"]["rising_rounds_per_bin"]
+
     def test_mask_file_route_matches_oracle_route(self, pipeline, tmp_path):
         from cogbeam import masks as masks_mod
 
