@@ -1,8 +1,11 @@
 """Command-line pipeline: simulate -> enhance -> decode -> evaluate.
 
 Configuration is a single JSON file (documented in the README); every
-command is deterministic given (config, seed), and ``enhance`` also given
-the BLAS thread count. Artifacts cross stage boundaries as float32 WAV, CBTF
+command is deterministic given (config, seed). Where numpy's bundled
+OpenBLAS exposes its thread setting, ``enhance`` writes the same bits for
+any BLAS thread setting and any CPU count; elsewhere it solves on one thread
+under the BLAS threading it finds, and its bits may depend on the BLAS
+thread count. Artifacts cross stage boundaries as float32 WAV, CBTF
 tensors and JSON records, so each stage can also be driven by externally
 produced files. Each stage reads only the scene files it uses.
 """

@@ -325,7 +325,7 @@ def test_criterion_8_iteration_stability():
             [masks.oracle_irm(comps, nspec, m) for m in range(4)]
         )
         for mode, interferers in (("wmpdr", None), ("wlcmp", mask_set[1:2])):
-            bf = ConvBeamformerConfig()  # 10 iterations by default
+            bf = ConvBeamformerConfig()  # the default round count
             out = beamform.run_conv_beamformer(
                 mix, mask_set[0], interferers, bf, mode=mode
             )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogbeam import beamform, linalg, scene, stft
+from cogbeam import beamform, linalg, metrics, scene, stft
 from cogbeam.beamform import (
     ConstraintRankError,
     ConvBeamformerConfig,
@@ -44,7 +44,7 @@ class TestConfig:
     def test_defaults_match_operating_point(self):
         cfg = ConvBeamformerConfig()
         assert cfg.frame_delay == 4
-        assert cfg.iterations == 10
+        assert cfg.iterations == 2
         assert cfg.delta == 0.1
         assert cfg.filter_length(100.0) == 20
         assert cfg.filter_length(800.0) == 16
@@ -365,6 +365,29 @@ class TestRunConvBeamformer:
                 n = min(signal.size, reference.size)
                 scores[iters] = metrics.fwssnr(signal[:n], reference[:n])
             if scores[10] >= scores[1] - 1e-9:
+                improved += 1
+        assert improved >= 0.9 * n_trials
+
+    def test_default_rounds_beat_ten_rounds_in_fwssnr(self):
+        # the default round count was chosen because it scores above ten
+        # rounds (README, "Reweighting rounds"); on the xfail's scenes it
+        # must still win almost every draw, so a default drifting back to
+        # ten rounds fails here
+        improved = 0
+        n_trials = 10
+        for seed in range(n_trials):
+            _, rendered = build_scene(
+                seed=200 + seed, t60=0.4, duration=2.5, n_mics=3, noise_gain=0.02
+            )
+            mask_set, mix, cfg = oracle_mask_set(rendered)
+            reference = rendered.anechoic[0, 0]
+            scores = []
+            for bf in (ConvBeamformerConfig(), ConvBeamformerConfig(iterations=10)):
+                out = run_conv_beamformer(mix, mask_set[0], cfg=bf, mode="wmpdr")
+                signal = stft.synthesize(out.z[None], cfg)[0]
+                n = min(signal.size, reference.size)
+                scores.append(metrics.fwssnr(signal[:n], reference[:n]))
+            if scores[0] > scores[1]:
                 improved += 1
         assert improved >= 0.9 * n_trials
 
