@@ -5,9 +5,13 @@ The decoder is a lagged linear map from multichannel EEG to the attended
 speech envelope, trained by ridge regression. Selection correlates the
 reconstruction against each candidate reference envelope and picks the
 argmax. A seeded synthetic-EEG generator stands in for recorded data so the
-whole chain can be exercised end to end.
+whole chain can be exercised end to end. It synthesizes a whole trial set in
+one pass (one noise filter call for every trial and channel, one draw of the
+listener's mixing), and each trial keeps the bits of synthesizing it alone
+with ``synthesize_eeg``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,14 @@ class UndefinedCorrelationError(ValueError):
     """Pearson correlation undefined (zero variance input)."""
 
 
+@functools.lru_cache(maxsize=16)
+def _lowpass(cutoff_hz, rate):
+    """Second-order Butterworth low-pass sections, designed once per
+    (cutoff, rate). Kept as a tuple so no caller can change the shared
+    design; ``sosfiltfilt`` reads it as the same float64 array."""
+    return tuple(map(tuple, scipy.signal.butter(2, cutoff_hz, fs=rate, output="sos")))
+
+
 def extract_envelope(signal, rate_in, rate_out=64):
     """Slow amplitude envelope: rectify, 8 Hz low-pass (zero-phase, effective
     4th order), resample to ``rate_out``. Output is nonnegative."""
@@ -43,8 +55,7 @@ def extract_envelope(signal, rate_in, rate_out=64):
         raise ValueError("rate_out must not exceed rate_in")
     env = np.abs(signal)
     if rate_in > 16:
-        sos = scipy.signal.butter(2, 8.0, fs=rate_in, output="sos")
-        env = scipy.signal.sosfiltfilt(sos, env)
+        env = scipy.signal.sosfiltfilt(_lowpass(8.0, rate_in), env)
     if rate_out != rate_in:
         g = math.gcd(int(rate_out), int(rate_in))
         env = scipy.signal.resample_poly(env, int(rate_out) // g, int(rate_in) // g)
@@ -67,13 +78,16 @@ def _zscore(eeg):
 
 
 def _design_matrix(eeg, lags):
-    """Lagged EEG features: row l holds eeg[c, l + lag] for all (c, lag)."""
+    """Lagged EEG features: row l holds eeg[c, l + lag] for all (c, lag),
+    column ``c * len(lags) + j`` for lag ``lags[j]``. ``lags`` is a run of
+    consecutive samples, as ``_lag_indices`` makes it."""
     n_ch, n = eeg.shape
     valid = n - lags[-1]
     if valid < 1:
         raise ValueError("EEG shorter than the decoder lag span")
-    cols = [eeg[c, lag : lag + valid] for c in range(n_ch) for lag in lags]
-    return np.stack(cols, axis=1)
+    # windows[c, l, j] = eeg[c, lags[0] + l + j]: one window per valid row
+    windows = np.lib.stride_tricks.sliding_window_view(eeg[:, lags[0] :], lags.size, axis=1)
+    return np.ascontiguousarray(windows.transpose(1, 0, 2)).reshape(valid, n_ch * lags.size)
 
 
 @dataclass
@@ -227,19 +241,46 @@ def synthesize_eeg(
     ``mixing_seed`` alone, playing the role of one listener's fixed response
     geometry: reuse the same mixing seed across trials and only the noise
     changes. Delays stay inside the decoder's default lag span.
+
+    This is the one-trial case of ``make_synthetic_trial_set``'s synthesis:
+    with ``noise_seed=SeedSequence((seed, t))`` it returns trial ``t`` of a
+    trial set, bit for bit.
     """
     attended = np.asarray(attended, dtype=float)
     unattended = np.asarray(unattended, dtype=float)
     if attended.shape != unattended.shape:
         raise ValueError("envelope length mismatch")
+    return _synthesize_trials(
+        attended[None],
+        unattended[None],
+        n_channels,
+        snr_db,
+        mixing_seed,
+        [noise_seed],
+        rate,
+        max_lag_ms,
+        leakage,
+    )[0]
+
+
+def _synthesize_trials(
+    attended, unattended, n_channels, snr_db, mixing_seed, noise_seeds, rate,
+    max_lag_ms=200.0, leakage=0.3,
+):
+    """EEG ``(trials, channels, samples)`` for ``(trials, samples)`` attended
+    and unattended envelopes; trial ``t`` draws its noise from
+    ``noise_seeds[t]`` (None: a seed derived from the mixing stream).
+
+    The mixing stream is drawn once, as one trial would draw it, and every
+    trial's noise is filtered and normalized in one pass. The mixing step
+    runs per (trial, channel) on the filter's output as it is: that output
+    is a reversed-stride view, and the coupling product on a contiguous copy
+    of it differs in the last bit.
+    """
+    n_trials, n = attended.shape
     mix_rng = np.random.default_rng(mixing_seed)
     derived_noise_seed = mix_rng.integers(2**63)  # keep the mixing stream
-    noise_rng = np.random.default_rng(
-        noise_seed if noise_seed is not None else derived_noise_seed
-    )
-    n = attended.size
     max_lag = max(1, int(round(max_lag_ms * 1e-3 * rate)))
-    sos = scipy.signal.butter(2, min(10.0, 0.4 * rate / 2), fs=rate, output="sos")
 
     # volume conduction: half the background power is shared across channels
     # through a per-listener coupling, so channel averaging cannot integrate
@@ -247,22 +288,33 @@ def synthesize_eeg(
     n_shared = 3
     coupling = mix_rng.standard_normal((n_channels, n_shared))
     coupling /= np.linalg.norm(coupling, axis=1, keepdims=True)
-    shared = scipy.signal.sosfiltfilt(
-        sos, noise_rng.standard_normal((n_shared, n)), axis=1
-    )
-    shared /= np.maximum(shared.std(axis=1, keepdims=True), 1e-12)
-
-    eeg = np.empty((n_channels, n))
-    for c in range(n_channels):
+    mixing = []  # per channel: attended gain and delay, unattended gain and delay
+    for _ in range(n_channels):
         gain_a = mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
         gain_u = leakage * mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
-        comp = gain_a * _delayed(attended, int(mix_rng.integers(0, max_lag + 1)))
-        comp += gain_u * _delayed(unattended, int(mix_rng.integers(0, max_lag + 1)))
-        own = scipy.signal.sosfiltfilt(sos, noise_rng.standard_normal(n))
-        own /= max(own.std(), 1e-12)
-        noise = np.sqrt(0.5) * own + np.sqrt(0.5) * (coupling[c] @ shared)
-        noise_std = max(comp.std(), 1e-12) * 10.0 ** (-snr_db / 20.0)
-        eeg[c] = comp + noise_std * noise
+        delay_a = int(mix_rng.integers(0, max_lag + 1))
+        delay_u = int(mix_rng.integers(0, max_lag + 1))
+        mixing.append((gain_a, delay_a, gain_u, delay_u))
+
+    # per trial: the shared rows, then one row per channel
+    noise = np.empty((n_trials, n_shared + n_channels, n))
+    for t, seed in enumerate(noise_seeds):
+        noise_rng = np.random.default_rng(seed if seed is not None else derived_noise_seed)
+        noise_rng.standard_normal(out=noise[t])
+    noise = scipy.signal.sosfiltfilt(_lowpass(min(10.0, 0.4 * rate / 2), rate), noise, axis=-1)
+    noise /= np.maximum(noise.std(axis=-1, keepdims=True), 1e-12)
+
+    eeg = np.empty((n_trials, n_channels, n))
+    for t in range(n_trials):
+        shared = noise[t, :n_shared]
+        for c, (gain_a, delay_a, gain_u, delay_u) in enumerate(mixing):
+            comp = gain_a * _delayed(attended[t], delay_a)
+            comp += gain_u * _delayed(unattended[t], delay_u)
+            background = np.sqrt(0.5) * noise[t, n_shared + c] + np.sqrt(0.5) * (
+                coupling[c] @ shared
+            )
+            noise_std = max(comp.std(), 1e-12) * 10.0 ** (-snr_db / 20.0)
+            eeg[t, c] = comp + noise_std * background
     return eeg
 
 
@@ -282,7 +334,10 @@ def make_synthetic_trial_set(
     ``attended`` is a speaker index applied to all trials or one index per
     trial. ``seed`` plays the role of the listener: the EEG mixing is fixed
     across the whole set and only the per-trial noise differs, so a decoder
-    trained on some trials of a set transfers to the rest.
+    trained on some trials of a set transfers to the rest. Trial ``t`` is
+    ``synthesize_eeg`` of its envelopes with ``mixing_seed=seed`` and
+    ``noise_seed=SeedSequence((seed, t))``, bit for bit, made for all
+    trials in one filtering pass.
     """
     envelopes = np.asarray(envelopes, dtype=float)
     n_spk, n = envelopes.shape
@@ -293,21 +348,23 @@ def make_synthetic_trial_set(
     labels = np.broadcast_to(np.asarray(attended, dtype=int), (n_trials,)).copy()
     if np.any((labels < 0) | (labels >= n_spk)):
         raise ValueError(f"attended speaker indices must lie in [0, {n_spk})")
-    eeg = np.empty((n_trials, n_channels, per_trial))
-    for t in range(n_trials):
+    attended_envs = np.empty((n_trials, per_trial))
+    unattended_envs = np.zeros((n_trials, per_trial))
+    for t, att in enumerate(labels):
         seg = envelopes[:, t * per_trial : (t + 1) * per_trial]
-        att = labels[t]
+        attended_envs[t] = seg[att]
         others = [i for i in range(n_spk) if i != att]
-        unattended = seg[others].mean(axis=0) if others else np.zeros(per_trial)
-        eeg[t] = synthesize_eeg(
-            seg[att],
-            unattended,
-            n_channels,
-            snr_db,
-            mixing_seed=seed,
-            noise_seed=np.random.SeedSequence((seed, t)),
-            rate=rate,
-        )
+        if others:
+            unattended_envs[t] = seg[others].mean(axis=0)
+    eeg = _synthesize_trials(
+        attended_envs,
+        unattended_envs,
+        n_channels,
+        snr_db,
+        seed,
+        [np.random.SeedSequence((seed, t)) for t in range(n_trials)],
+        rate,
+    )
     return eeg, labels
 
 

@@ -107,6 +107,27 @@ class AadConfig:
             raise ValueError(f"rate must be at least 1 Hz, got {self.rate}")
         if self.channels < 1:
             raise ValueError(f"channels must be at least 1, got {self.channels}")
+        if self.trial_seconds <= 0:
+            raise ValueError(f"trial_seconds must be positive, got {self.trial_seconds}")
+        if len(self.lag_range_ms) != 2 or not 0 <= self.lag_range_ms[0] <= self.lag_range_ms[1]:
+            raise ValueError(
+                f"lag_range_ms must be [lo, hi] with 0 <= lo <= hi, got {list(self.lag_range_ms)}"
+            )
+        if not self.ridge >= 0:
+            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        # A trial's reconstruction holds its samples minus the lag window, and
+        # the correlation that selects a speaker needs two of them. sosfiltfilt
+        # pads the one-section filter of the synthetic EEG by 3 * (2 + 1) = 9
+        # samples at each end and needs a longer trial.
+        per_trial = round(self.trial_seconds * self.rate)
+        lag_window = int(aad._lag_indices(self.lag_range_ms, self.rate)[-1]) + 1
+        if per_trial <= max(lag_window, 9):
+            raise ValueError(
+                f"trial_seconds {self.trial_seconds:g} gives {per_trial} samples at rate "
+                f"{self.rate} Hz; a trial must be longer than the {lag_window}-sample lag "
+                f"window of lag_range_ms {list(self.lag_range_ms)} and the 9-sample "
+                "padding of the EEG filter"
+            )
 
 
 @dataclass
@@ -189,8 +210,6 @@ def load_config(path):
             raise ConfigError(f"mask file not found: {cfg.masks.path}")
     if cfg.aad.mode not in ("synth", "file"):
         raise ConfigError("aad.mode must be 'synth' or 'file'")
-    if cfg.aad.trial_seconds <= 0:
-        raise ConfigError("aad.trial_seconds must be positive")
     if cfg.aad.mode == "synth" and not _is_speaker_index(
         cfg.aad.attended_speaker, cfg.scene.n_speakers
     ):
@@ -503,7 +522,9 @@ def _trial_spans(n_samples, fs, trial_seconds):
 
 
 def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
-    """Per trial: envelopes, reconstruction, speaker selection."""
+    """Per trial: envelopes, reconstruction, speaker selection. Decodes the
+    trials whose enhanced audio is whole, by the ``_trial_spans`` rule that
+    ``cmd_evaluate`` scores with."""
     _check_trial_count(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -518,7 +539,10 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
         [aad.extract_envelope(e[:n], fs, ac.rate) for e in enhanced]
     )
 
-    spans = _trial_spans(candidate_envs.shape[1], ac.rate, ac.trial_seconds)
+    # the envelope rounds its length up, so keep only the trials whose audio
+    # is whole: the trials evaluate scores
+    whole = len(_trial_spans(n, fs, ac.trial_seconds))
+    spans = _trial_spans(candidate_envs.shape[1], ac.rate, ac.trial_seconds)[:whole]
     if not spans:
         raise ConfigError(f"scene too short for one {ac.trial_seconds:g}-second trial")
 

@@ -40,18 +40,20 @@ def write_tensor(path, array):
     dtype = array.dtype
     if dtype not in _DTYPE_CODES:
         if np.issubdtype(dtype, np.complexfloating):
-            array = array.astype(np.complex128)
+            dtype = np.dtype(np.complex128)
         elif np.issubdtype(dtype, np.floating) or np.issubdtype(dtype, np.integer):
-            array = array.astype(np.float64)
+            dtype = np.dtype(np.float64)
         else:
             raise TensorFileError(f"unsupported dtype {dtype}")
-        dtype = array.dtype
     code = _DTYPE_CODES[dtype]
     header = MAGIC + struct.pack("<BBB", VERSION, code, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
+    # copied only when the input is not C-contiguous little-endian data of
+    # the stored dtype; the file is written from the payload's own memory
+    payload = np.ascontiguousarray(array, dtype=dtype.newbyteorder("<"))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(array).astype(dtype.newbyteorder("<")).tobytes())
+        fh.write(payload.reshape(-1).view(np.uint8))
 
 
 def read_tensor(path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from cogbeam import metrics
 from cogbeam.aad import (
@@ -19,12 +20,48 @@ EEG_RATE = 64
 
 
 def smooth_envelope(rng, n, rate=EEG_RATE):
-    import scipy.signal
-
     raw = rng.standard_normal(n)
     sos = scipy.signal.butter(2, 6.0, fs=rate, output="sos")
     env = scipy.signal.sosfiltfilt(sos, raw)
     return np.abs(env) + 0.1
+
+
+def reference_synthesize_eeg(
+    attended, unattended, n_channels, snr_db, mixing_seed, noise_seed=None, rate=64,
+    max_lag_ms=200.0, leakage=0.3,
+):
+    """The synthesis as a per-channel loop that filters each noise row on its
+    own: the bit-exact reference for the one-pass synthesis."""
+    mix_rng = np.random.default_rng(mixing_seed)
+    derived_noise_seed = mix_rng.integers(2**63)
+    noise_rng = np.random.default_rng(
+        noise_seed if noise_seed is not None else derived_noise_seed
+    )
+    n = attended.size
+    max_lag = max(1, int(round(max_lag_ms * 1e-3 * rate)))
+    sos = scipy.signal.butter(2, min(10.0, 0.4 * rate / 2), fs=rate, output="sos")
+    coupling = mix_rng.standard_normal((n_channels, 3))
+    coupling /= np.linalg.norm(coupling, axis=1, keepdims=True)
+    shared = scipy.signal.sosfiltfilt(sos, noise_rng.standard_normal((3, n)), axis=1)
+    shared /= np.maximum(shared.std(axis=1, keepdims=True), 1e-12)
+
+    def delayed(x, delay):
+        out = np.zeros_like(x)
+        out[delay:] = x[: x.size - delay]
+        return out
+
+    eeg = np.empty((n_channels, n))
+    for c in range(n_channels):
+        gain_a = mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
+        gain_u = leakage * mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
+        comp = gain_a * delayed(attended, int(mix_rng.integers(0, max_lag + 1)))
+        comp += gain_u * delayed(unattended, int(mix_rng.integers(0, max_lag + 1)))
+        own = scipy.signal.sosfiltfilt(sos, noise_rng.standard_normal(n))
+        own /= max(own.std(), 1e-12)
+        noise = np.sqrt(0.5) * own + np.sqrt(0.5) * (coupling[c] @ shared)
+        noise_std = max(comp.std(), 1e-12) * 10.0 ** (-snr_db / 20.0)
+        eeg[c] = comp + noise_std * noise
+    return eeg
 
 
 class TestExtractEnvelope:
@@ -226,6 +263,16 @@ class TestSynthesizeEeg:
         with pytest.raises(ValueError):
             synthesize_eeg(np.ones(10), np.ones(11), 4, 0.0, mixing_seed=0)
 
+    @pytest.mark.parametrize("noise_seed", [None, 10, np.random.SeedSequence((4, 2))])
+    @pytest.mark.parametrize("n", [64, 1920])
+    def test_matches_per_channel_reference(self, noise_seed, n):
+        rng = np.random.default_rng(20)
+        att, unatt = smooth_envelope(rng, n), smooth_envelope(rng, n)
+        args = (att, unatt, 16, 5.0, 4, noise_seed)
+        np.testing.assert_array_equal(
+            synthesize_eeg(*args), reference_synthesize_eeg(*args)
+        )
+
 
 class TestSyntheticTrials:
     def test_shapes_and_labels(self):
@@ -236,6 +283,34 @@ class TestSyntheticTrials:
         )
         assert eeg.shape == (3, 4, 192)
         assert labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "n_speakers, per_trial, attended",
+        [(2, 64, [0, 1, 1, 0, 1]), (2, 1920, 1), (3, 64, 2), (3, 1920, [2, 0, 1])],
+    )
+    def test_each_trial_is_its_one_trial_synthesis(self, n_speakers, per_trial, attended):
+        # the one-pass synthesis filters a (trials, 3 + channels, samples)
+        # stack; each trial must keep the bits of synthesizing it alone
+        rng = np.random.default_rng(22)
+        n_trials, seed = np.size(attended) if np.ndim(attended) else 4, 31
+        envelopes = np.vstack(
+            [smooth_envelope(rng, n_trials * per_trial + 7) for _ in range(n_speakers)]
+        )
+        eeg, labels = make_synthetic_trial_set(
+            envelopes, attended, EEG_RATE, n_channels=16, snr_db=5.0, seed=seed,
+            trial_seconds=per_trial / EEG_RATE,
+        )
+        assert eeg.shape == (n_trials, 16, per_trial)
+        assert labels.tolist() == np.broadcast_to(attended, n_trials).tolist()
+        for t, att in enumerate(labels):
+            seg = envelopes[:, t * per_trial : (t + 1) * per_trial]
+            others = [i for i in range(n_speakers) if i != att]
+            args = (seg[att], seg[others].mean(axis=0), 16, 5.0, seed)
+            noise_seed = np.random.SeedSequence((seed, t))
+            np.testing.assert_array_equal(eeg[t], synthesize_eeg(*args, noise_seed=noise_seed))
+            np.testing.assert_array_equal(
+                eeg[t], reference_synthesize_eeg(*args, noise_seed=noise_seed)
+            )
 
     @pytest.mark.parametrize("attended", [-1, 2])
     def test_out_of_range_label_rejected(self, attended):

@@ -129,6 +129,34 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="attended_speaker"):
             cli.load_config(path)
 
+    @pytest.mark.parametrize(
+        "aad_cfg, message",
+        [
+            # decode divided by the zero-sample trial
+            ({"trial_seconds": 0.005}, r"trial_seconds 0.005 gives 0 samples at rate 64"),
+            # the EEG filter's padding refused it, in scipy's words
+            ({"trial_seconds": 0.1}, r"trial_seconds 0.1 gives 6 samples .* 17-sample lag window"),
+            ({"trial_seconds": 17 / 64}, r"trial_seconds 0.265625 gives 17 samples .* 17-sample lag window"),
+            ({"lag_range_ms": [0, 50], "trial_seconds": 0.125}, r"trial_seconds 0.125 gives 8 samples .* 9-sample padding"),
+            ({"lag_range_ms": [300, 100]}, r"lag_range_ms must be \[lo, hi\] with 0 <= lo <= hi"),
+            ({"lag_range_ms": [-10, 100]}, r"lag_range_ms .* 0 <= lo <= hi, got \[-10, 100\]"),
+            ({"ridge": -1}, r"ridge must be >= 0, got -1"),
+        ],
+    )
+    def test_aad_bounds_refused_at_load(self, tmp_path, aad_cfg, message):
+        path = write_config(tmp_path, aad=aad_cfg)
+        with pytest.raises(cli.ConfigError, match=r"section 'aad': " + message):
+            cli.load_config(path)
+
+    def test_shortest_trial_within_bounds_decodes(self, pipeline, tmp_path):
+        # one sample longer than the 17-sample lag window of the default lags:
+        # each reconstruction holds the two samples a correlation needs
+        root, _, _ = pipeline
+        cfg = cli.load_config(write_config(tmp_path, aad={"trial_seconds": 18 / 64}))
+        records = cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "dec")
+        enhanced, fs = cli.read_wav(root / "enh" / "speaker0.wav")
+        assert len(records) == len(cli._trial_spans(enhanced.shape[1], fs, 18 / 64)) > 2
+
     @pytest.mark.parametrize("duration, trial", [(30.0, 30.0), (5.0, 3.0)])
     def test_synth_scene_needs_two_trials(self, tmp_path, duration, trial):
         cfg = cli.load_config(
@@ -407,10 +435,35 @@ class TestDecode:
             json.loads(line)
             for line in (root / "dec" / "trials.jsonl").read_text().splitlines()
         ]
-        enhanced, _ = cli.read_wav(root / "enh" / "speaker0.wav")
-        per = int(cfg.aad.trial_seconds * cfg.aad.rate)
-        env_len = int(np.ceil(enhanced.shape[1] * cfg.aad.rate / 16000))
-        assert len(records) == env_len // per
+        enhanced, fs = cli.read_wav(root / "enh" / "speaker0.wav")
+        assert len(records) == enhanced.shape[1] // int(cfg.aad.trial_seconds * fs) == 4
+
+    def test_decodes_only_trials_whose_audio_is_whole(self, tmp_path):
+        # a 2.99 s scene enhances to 47 872 samples at a 128/32 STFT: two
+        # whole 1 s trials, while the envelope rounds up to three 64-sample ones
+        path = write_config(
+            tmp_path,
+            scene={"duration_s": 2.99},
+            stft={"frame_length": 128, "hop": 32},
+            beamformer_type="MPDR",
+            aad={"trial_seconds": 1.0},
+        )
+        dirs = {name: str(tmp_path / name) for name in ("scene", "enh", "dec", "eval")}
+        stages = [
+            ["simulate", "--out", dirs["scene"]],
+            ["enhance", "--scene", dirs["scene"], "--out", dirs["enh"]],
+            ["decode", "--scene", dirs["scene"], "--enhanced", dirs["enh"], "--out", dirs["dec"]],
+            ["evaluate", "--scene", dirs["scene"], "--enhanced", dirs["enh"],
+             "--decoded", dirs["dec"], "--out", dirs["eval"]],
+        ]
+        for argv in stages:
+            assert cli.main([argv[0], "--config", str(path)] + argv[1:]) == 0, argv[0]
+        enhanced, _ = cli.read_wav(tmp_path / "enh" / "speaker0.wav")
+        assert enhanced.shape[1] == 47872
+        assert len(aad.extract_envelope(enhanced[0], 16000, 64)) == 192
+        records = (tmp_path / "dec" / "trials.jsonl").read_text().splitlines()
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert len(records) == report["n_trials"] == 2
 
     def test_high_snr_selects_attended(self, pipeline):
         root, _, _ = pipeline

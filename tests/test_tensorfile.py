@@ -43,6 +43,35 @@ def test_one_dim_round_trip(tmp_path):
     assert np.array_equal(read_tensor(path), x)
 
 
+def _complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda rng: rng.standard_normal((3, 4)).astype(np.float32), 0),
+        (lambda rng: rng.standard_normal((3, 4)), 1),
+        (lambda rng: _complex((3, 4), rng).astype(np.complex64), 2),
+        (lambda rng: _complex((2, 3, 4), rng), 3),
+        (lambda rng: rng.standard_normal((4, 6))[::2, ::-3].T, 1),  # non-contiguous
+        (lambda rng: _complex((5, 3), rng).T, 3),  # Fortran order
+        (lambda rng: rng.standard_normal((3, 4)).astype(">f8"), 1),  # big-endian
+        (lambda rng: _complex((3, 4), rng).astype(">c8")[:, 1:], 3),
+        (lambda rng: np.arange(6, dtype=">i4").reshape(2, 3), 1),
+        (lambda rng: np.float32(2.5), 0),
+        (lambda rng: np.zeros((0, 5), dtype=np.complex64), 2),
+    ],
+)
+def test_written_bytes_are_header_and_little_endian_c_order_payload(tmp_path, make, code):
+    x = np.asarray(make(np.random.default_rng(1)))
+    path = tmp_path / "w.cbtf"
+    write_tensor(path, x)
+    stored = {0: "<f4", 1: "<f8", 2: "<c8", 3: "<c16"}[code]
+    header = MAGIC + struct.pack("<BBB", 1, code, x.ndim) + struct.pack(f"<{x.ndim}Q", *x.shape)
+    assert path.read_bytes() == header + x.astype(stored).tobytes(order="C")
+
+
 def test_int_input_promoted(tmp_path):
     path = tmp_path / "i.cbtf"
     write_tensor(path, np.arange(4))
