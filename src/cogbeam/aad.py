@@ -45,6 +45,18 @@ def _lowpass(cutoff_hz, rate):
     return tuple(map(tuple, scipy.signal.butter(2, cutoff_hz, fs=rate, output="sos")))
 
 
+@functools.lru_cache(maxsize=16)
+def _decimation_fir(up, down):
+    """The anti-aliasing FIR that ``resample_poly(x, up, down)`` designs for
+    itself, designed once per (up, down). Read-only; ``resample_poly`` copies
+    an array window and scales the copy by ``up``, as it does its own design,
+    so passing it as ``window=`` gives the same bits."""
+    max_rate = max(up, down)
+    fir = scipy.signal.firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    fir.flags.writeable = False
+    return fir
+
+
 def extract_envelope(signal, rate_in, rate_out=64):
     """Slow amplitude envelope: rectify, 8 Hz low-pass (zero-phase, effective
     4th order), resample to ``rate_out``. Output is nonnegative."""
@@ -58,7 +70,8 @@ def extract_envelope(signal, rate_in, rate_out=64):
         env = scipy.signal.sosfiltfilt(_lowpass(8.0, rate_in), env)
     if rate_out != rate_in:
         g = math.gcd(int(rate_out), int(rate_in))
-        env = scipy.signal.resample_poly(env, int(rate_out) // g, int(rate_in) // g)
+        up, down = int(rate_out) // g, int(rate_in) // g
+        env = scipy.signal.resample_poly(env, up, down, window=_decimation_fir(up, down))
     return np.clip(env, 0.0, None)
 
 

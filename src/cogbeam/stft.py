@@ -86,9 +86,12 @@ def synthesize(spec, cfg):
     win = _window(cfg)
     gain = _cola_gain(cfg)
     frames = np.fft.irfft(spec, n=cfg.frame_length, axis=-1) * win
-    n = (k - 1) * cfg.hop + cfg.frame_length
-    out = np.zeros((m, n))
-    for j in range(k):
-        start = j * cfg.hop
-        out[:, start : start + cfg.frame_length] += frames[:, j]
-    return out / gain
+    per_frame = cfg.frame_length // cfg.hop
+    # frame j covers hop-sized blocks j .. j + per_frame - 1; adding its
+    # sub-blocks from the last to the first gives every output block its
+    # frames in ascending order, the order of a loop over frames
+    blocks = frames.reshape(m, k, per_frame, cfg.hop)
+    out = np.zeros((m, k + per_frame - 1, cfg.hop))
+    for r in range(per_frame - 1, -1, -1):
+        out[:, r : r + k] += blocks[:, :, r]
+    return out.reshape(m, -1) / gain

@@ -37,7 +37,7 @@ class TensorFileError(ValueError):
 def write_tensor(path, array):
     """Write ``array`` to ``path`` in the CBTF format."""
     array = np.asarray(array)
-    dtype = array.dtype
+    dtype = array.dtype.newbyteorder("=")  # the codes name native dtypes
     if dtype not in _DTYPE_CODES:
         if np.issubdtype(dtype, np.complexfloating):
             dtype = np.dtype(np.complex128)

@@ -99,6 +99,22 @@ class TestExtractEnvelope:
         with pytest.raises(ValueError):
             extract_envelope(np.zeros(100), 64, 128)
 
+    @pytest.mark.parametrize(
+        "rate_in, rate_out",
+        [(16000, 64), (16000, 100), (8000, 64), (22050, 64), (48000, 128), (1000, 64), (64, 32)],
+    )
+    @pytest.mark.parametrize("n", [300, 4097, 40001])
+    def test_same_bits_as_resample_poly_designing_its_filter(self, rate_in, rate_out, n):
+        # the cached decimation filter must be the one resample_poly designs
+        x = np.random.default_rng(n).standard_normal(n)
+        sos = scipy.signal.butter(2, 8.0, fs=rate_in, output="sos")
+        env = scipy.signal.sosfiltfilt(sos, np.abs(x))
+        g = np.gcd(rate_in, rate_out)
+        want = np.clip(scipy.signal.resample_poly(env, rate_out // g, rate_in // g), 0.0, None)
+        for _ in range(2):  # a cached design gives the same bits as a fresh one
+            got = extract_envelope(x, rate_in, rate_out)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestPearson:
     def test_self_correlation_one(self):

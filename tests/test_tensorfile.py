@@ -57,7 +57,9 @@ def _complex(shape, rng):
         (lambda rng: rng.standard_normal((4, 6))[::2, ::-3].T, 1),  # non-contiguous
         (lambda rng: _complex((5, 3), rng).T, 3),  # Fortran order
         (lambda rng: rng.standard_normal((3, 4)).astype(">f8"), 1),  # big-endian
-        (lambda rng: _complex((3, 4), rng).astype(">c8")[:, 1:], 3),
+        (lambda rng: rng.standard_normal((3, 4)).astype(">f4"), 0),
+        (lambda rng: _complex((3, 4), rng).astype(">c8")[:, 1:], 2),
+        (lambda rng: _complex((3, 4), rng).astype(">c16"), 3),
         (lambda rng: np.arange(6, dtype=">i4").reshape(2, 3), 1),
         (lambda rng: np.float32(2.5), 0),
         (lambda rng: np.zeros((0, 5), dtype=np.complex64), 2),
