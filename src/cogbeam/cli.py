@@ -81,6 +81,15 @@ class SceneConfig:
             raise ValueError(f"n_mics must be at least 1, got {self.n_mics}")
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if self.condition == "custom" and self.t60_s is None:
+            raise ValueError(
+                "condition 'custom' has no preset T60: set scene.t60_s to the "
+                "reverberation time in seconds (0 for an anechoic scene)"
+            )
+        if self.t60_s is not None and not self.t60_s >= 0:
+            raise ValueError(
+                f"scene.t60_s must be at least 0 s (0 for an anechoic scene), got {self.t60_s}"
+            )
 
 
 @dataclass
@@ -282,8 +291,6 @@ def cmd_simulate(cfg, out_dir):
             t60 = sc.t60_s
         if sc.target_input_fwssnr_db is not None:
             target = sc.target_input_fwssnr_db
-    if t60 is None:
-        raise ConfigError("custom condition needs scene.t60_s")
 
     sources = []
     for i in range(sc.n_speakers):
@@ -320,10 +327,16 @@ def cmd_simulate(cfg, out_dir):
     unit = scene.render(acoustic, 1.0)
     if target is None:
         gain = sc.noise_gain
+        per_speaker = None
     else:
-        gain = scene.calibrate_noise_gain(
-            unit, target, cfg=cfg.metrics, reference_mics=ref_mics
+        # the calibration's own scores at its gain: the input fwSSNR of the
+        # calibrated scene up to rounding, with no framing of its signals
+        objective = scene._input_fwssnr_of_gain(
+            unit, range(sc.n_speakers), cfg.metrics, ref_mics
         )
+        gain = scene.calibrate_noise_gain(unit, target, objective=objective)
+        per_speaker = objective.per_speaker(gain)
+        del objective
     rendered = scene.with_noise_gain(unit, gain)
     del unit
 
@@ -335,10 +348,11 @@ def cmd_simulate(cfg, out_dir):
     write_tensor(out / "irs_reverberant.cbtf", irs)
     write_tensor(out / "irs_anechoic.cbtf", anech)
 
-    per_speaker = [
-        metrics.input_fwssnr(rendered, i, cfg.metrics, fs, ref_mics[i])
-        for i in range(sc.n_speakers)
-    ]
+    if per_speaker is None:
+        per_speaker = [
+            metrics.input_fwssnr(rendered, i, cfg.metrics, fs, ref_mics[i])
+            for i in range(sc.n_speakers)
+        ]
     meta = {
         "seed": cfg.seed,
         "sample_rate": fs,

@@ -165,13 +165,14 @@ def render(scene, noise_gain=1.0):
         lengths.append(noise.shape[1])
     n = min(lengths)
 
-    components = np.zeros((n_src, n_mic, n))
-    anechoic = np.zeros((n_src, n_mic, n))
+    components = np.empty((n_src, n_mic, n))
+    anechoic = np.empty((n_src, n_mic, n))
     for i in range(n_src):
-        src = np.asarray(scene.sources[i], dtype=float)
-        for m in range(n_mic):
-            components[i, m] = scipy.signal.fftconvolve(src, scene.irs[i, m])[:n]
-            anechoic[i, m] = scipy.signal.fftconvolve(src, scene.anechoic_irs[i, m])[:n]
+        # one transform of the source per IR set, broadcast over microphones:
+        # the same bits as one convolution per microphone
+        src = np.asarray(scene.sources[i], dtype=float)[None]
+        components[i] = scipy.signal.fftconvolve(src, scene.irs[i], axes=-1)[:, :n]
+        anechoic[i] = scipy.signal.fftconvolve(src, scene.anechoic_irs[i], axes=-1)[:, :n]
     if scene.noise is not None:
         noise_part = noise_gain * noise[:, :n]
     else:
@@ -202,6 +203,7 @@ def calibrate_noise_gain(
     gain_bounds=(1e-6, 1e6),
     max_iter=80,
     reference_mics=None,
+    objective=None,
 ):
     """Bisection on the noise gain until the scene's input fwSSNR hits target.
 
@@ -210,34 +212,38 @@ def calibrate_noise_gain(
     rendering again. ``reference_source`` selects which speaker's input
     fwSSNR is matched; None averages over all speakers. ``reference_mics``
     optionally gives each speaker its own reference microphone (default:
-    microphone 0). Raises CalibrationError when the target lies outside what
-    the gain bounds can reach.
+    microphone 0). ``objective`` is the ``_input_fwssnr_of_gain`` of these
+    arguments when the caller has built it, to read its per-speaker scores
+    at the returned gain; otherwise it is built here. Raises
+    CalibrationError when the target lies outside what the gain bounds can
+    reach.
     """
     if not np.any(unit.noise):
         raise ValueError("scene has no noise to calibrate")
-    cfg = cfg or metrics.FwssnrConfig()
-    n_sources = unit.components.shape[0]
-    if reference_mics is None:
-        reference_mics = [0] * n_sources
-    speakers = range(n_sources) if reference_source is None else [reference_source]
+    if objective is None:
+        cfg = cfg or metrics.FwssnrConfig()
+        n_sources = unit.components.shape[0]
+        if reference_mics is None:
+            reference_mics = [0] * n_sources
+        speakers = range(n_sources) if reference_source is None else [reference_source]
+        objective = _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics)
 
-    achieved = _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics)
     lo, hi = gain_bounds
-    val_lo = achieved(lo)  # quietest noise -> highest fwSSNR
+    val_lo = objective(lo)  # quietest noise -> highest fwSSNR
     if val_lo < target_fwssnr - tolerance_db:
         raise CalibrationError(
             f"target {target_fwssnr:.2f} dB above reach: {val_lo:.2f} dB at gain {lo:g}"
         )
     if abs(val_lo - target_fwssnr) <= tolerance_db:
         return lo
-    val_hi = achieved(hi)
+    val_hi = objective(hi)
     if val_hi > target_fwssnr + tolerance_db:
         raise CalibrationError(
             f"target {target_fwssnr:.2f} dB below reach: {val_hi:.2f} dB at gain {hi:g}"
         )
     for _ in range(max_iter):
         mid = np.sqrt(lo * hi)  # bisect in log domain
-        val = achieved(mid)
+        val = objective(mid)
         if abs(val - target_fwssnr) <= tolerance_db:
             return float(mid)
         if val > target_fwssnr:
@@ -251,7 +257,8 @@ def calibrate_noise_gain(
 
 def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
     """The calibration objective: the mean over ``speakers`` of their input
-    fwSSNR, as a function of the noise gain applied to ``unit``.
+    fwSSNR, as a function of the noise gain applied to ``unit``. Its
+    ``per_speaker(gain)`` gives the scores it averages, in ``speakers`` order.
 
     The residual at microphone ``m`` against speaker ``i``'s reference is
     linear in the gain, ``(speech[m] - ref_i) + gain * noise[m]``, so its band
@@ -277,11 +284,11 @@ def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
             terms[i].append((framing.bands(_power(speech_spec)), framing.bands(cross), p_nn))
             del speech_spec, cross
 
-    def achieved(gain):
+    def per_speaker(gain):
         # max(..., 0): where the residual cancels exactly, rounding can leave
         # the expanded power just below zero; it must score as a silent
         # residual (upper clamp), not as NaN (lower clamp)
-        vals = [
+        return [
             max(
                 refs[i].score_band_power(
                     np.maximum(p_ss + 2.0 * gain * p_sn + gain**2 * p_nn, 0.0)
@@ -290,8 +297,11 @@ def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
             )
             for i in speakers
         ]
-        return float(np.mean(vals))
 
+    def achieved(gain):
+        return float(np.mean(per_speaker(gain)))
+
+    achieved.per_speaker = per_speaker
     return achieved
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogbeam import aad, cli, linalg, metrics
+from cogbeam import aad, cli, linalg, metrics, scene
 from cogbeam.tensorfile import read_tensor, write_tensor
 
 
@@ -111,6 +111,20 @@ class TestConfig:
     def test_nonpositive_duration_refused(self, tmp_path, duration):
         path = write_config(tmp_path, scene={"duration_s": duration})
         with pytest.raises(cli.ConfigError, match="duration_s"):
+            cli.load_config(path)
+
+    def test_custom_condition_without_t60_refused(self, tmp_path):
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["scene"]["t60_s"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(cli.ConfigError, match=r"set scene\.t60_s"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("condition", ["custom", "reverberant-noisy"])
+    def test_negative_t60_refused(self, tmp_path, condition):
+        path = write_config(tmp_path, scene={"condition": condition, "t60_s": -0.1})
+        with pytest.raises(cli.ConfigError, match=r"scene\.t60_s must be at least 0"):
             cli.load_config(path)
 
     def test_eeg_rate_below_one_refused(self, tmp_path):
@@ -241,6 +255,47 @@ class TestSimulate:
         )
         meta = cli.cmd_simulate(cfg, tmp_path / "scene")
         assert meta["mean_input_fwssnr_db"] == pytest.approx(0.5, abs=0.1)
+
+    def test_calibrated_metadata_reads_calibration_scores(self, tmp_path, monkeypatch):
+        framings = []
+        frame_spectra = metrics._frame_spectra
+
+        def counting(*args):
+            framings.append(args)
+            return frame_spectra(*args)
+
+        monkeypatch.setattr(metrics, "_frame_spectra", counting)
+        cfg = cli.load_config(
+            write_config(
+                tmp_path, scene={"condition": "reverberant-noisy", "t60_s": None, "n_mics": 4}
+            )
+        )
+        meta = cli.cmd_simulate(cfg, tmp_path / "scene")
+        # 2 references, then per microphone the noise and 2 speech residuals;
+        # re-scoring the calibrated scene would frame 10 more signals
+        assert len(framings) == 14
+        rebuilt = self.stored_scene(tmp_path / "scene")
+        for i, mic in enumerate(meta["reference_mics"]):
+            want = metrics.input_fwssnr(rebuilt, i, cfg.metrics, cfg.sample_rate, mic)
+            assert abs(meta["input_fwssnr_db"][i] - want) <= 1e-12
+        assert meta["mean_input_fwssnr_db"] == float(np.mean(meta["input_fwssnr_db"]))
+
+    def test_fixed_gain_metadata_scores_the_scene(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path))
+        meta = cli.cmd_simulate(cfg, tmp_path / "scene")
+        rebuilt = self.stored_scene(tmp_path / "scene")
+        assert meta["input_fwssnr_db"] == [
+            metrics.input_fwssnr(rebuilt, i, cfg.metrics, cfg.sample_rate, mic)
+            for i, mic in enumerate(meta["reference_mics"])
+        ]
+
+    @staticmethod
+    def stored_scene(scene_dir):
+        # the stored float64 tensors give the rendered mics bit for bit
+        components = read_tensor(scene_dir / "components_reverberant.cbtf")
+        noise = read_tensor(scene_dir / "noise.cbtf")
+        anechoic = read_tensor(scene_dir / "components_anechoic.cbtf")
+        return scene.RenderedScene(components.sum(axis=0) + noise, components, anechoic, noise)
 
 
 class TestEnhance:

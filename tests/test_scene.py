@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from cogbeam import scene
+from cogbeam import metrics, scene
 from cogbeam.scene import (
     AcousticScene,
     CalibrationError,
@@ -106,6 +106,27 @@ class TestRender:
         )
         np.testing.assert_allclose(r.components[0, 0], oracle, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "n_sources,n_mics,t60",
+        [(2, 4, 0.5), (2, 4, 0.0), (3, 1, 0.5)],
+    )
+    def test_batched_render_keeps_per_mic_bits(self, n_sources, n_mics, t60):
+        # the reference is one fftconvolve per (source, mic, IR set), the
+        # loop render replaced; a library change to the batched bits fails here
+        sources = [synthetic_speech(1.0, FS, seed=20 + i) for i in range(n_sources)]
+        irs, anech = synthetic_room_irs(n_sources, n_mics, FS, t60=t60, seed=21)
+        noise = generate_decorrelated_noise(n_mics, 2 * FS, seed=22)
+        r = render(AcousticScene(sources, irs, anech, noise, FS), 0.3)
+        n = r.mics.shape[1]
+        assert irs.shape[2] == (8193 if t60 else 33) and anech.shape[2] == 33
+        for i, src in enumerate(sources):
+            for m in range(n_mics):
+                want = scipy.signal.fftconvolve(src, irs[i, m])[:n]
+                np.testing.assert_array_equal(r.components[i, m], want)
+                want = scipy.signal.fftconvolve(src, anech[i, m])[:n]
+                np.testing.assert_array_equal(r.anechoic[i, m], want)
+        np.testing.assert_array_equal(r.mics, r.components.sum(axis=0) + 0.3 * noise[:, :n])
+
     def test_additivity_exact(self):
         r = render(two_source_scene(seed=9, t60=0.2), 0.7)
         recon = r.components.sum(axis=0) + r.noise
@@ -141,6 +162,17 @@ class TestCalibrateNoiseGain:
 
         achieved = metrics.input_fwssnr(render(sc, gain), 0)
         assert achieved == pytest.approx(0.5, abs=0.1)
+
+    def test_prebuilt_objective_gives_the_same_gain(self):
+        unit = render(two_source_scene(seed=16, t60=0.2, duration=2.0, n_mics=3), 1.0)
+        objective = scene._input_fwssnr_of_gain(unit, range(2), metrics.FwssnrConfig(), [1, 2])
+        gain = calibrate_noise_gain(unit, -6.0, objective=objective)
+        assert gain == calibrate_noise_gain(unit, -6.0, reference_mics=[1, 2])
+        scores = objective.per_speaker(gain)
+        assert len(scores) == 2 and objective(gain) == float(np.mean(scores))
+        for i in range(2):
+            alone = scene._input_fwssnr_of_gain(unit, [i], metrics.FwssnrConfig(), [1, 2])
+            assert alone(gain) == scores[i]
 
     def test_doubling_gain_lowers_fwssnr(self):
         from cogbeam import metrics
