@@ -230,36 +230,39 @@ def _stack_frames(y, frame_delay, l_w, buffer=None):
     return out
 
 
-def _hermitian_part(a):
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+def _gram(frames, weights, total, buffer=None):
+    """Hermitian part of the sum over frames of ``weights_k frames_k
+    frames_k^H`` divided by ``total``, for (..., K, D) ``frames``, (..., K)
+    ``weights`` (None: all ones) and a ``total`` that broadcasts against the
+    (..., D, D) sums; leading axes broadcast. Computed as the conjugate of
+    ``(weights * conj(frames))^T @ frames``, which needs no conjugated copy
+    of the frames; the conjugate is held in the flat complex ``buffer`` when
+    given.
+    """
+    scaled = np.conjugate(frames, out=None if buffer is None else _view(buffer, frames.shape))
+    if weights is not None:
+        weights = weights[..., None]
+        # in place, unless the weights have rows the frames broadcast over
+        in_place = weights.shape[:-1] == frames.shape[:-1]
+        scaled = np.multiply(scaled, weights, out=scaled if in_place else None)
+    return linalg.hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ frames) / total)
 
 
-def weighted_correlations(stacked, lam, n_channels):
+def weighted_correlations(stacked, lam, n_channels, buffer=None):
     """Variance-weighted sample correlations of stacked observations.
 
     ``stacked`` is (..., K, D) and ``lam`` (..., K). Returns
     ``(r_delay, p_cross, r_full)`` where ``r_full`` averages
     ``stacked_k stacked_k^H / lam_k`` over frames, ``r_delay`` is its
     delayed-frames block and ``p_cross`` the delayed-to-current block.
-    Hermitian parts are symmetrized.
+    Hermitian parts are symmetrized. ``buffer``, when given, is a flat
+    complex array that holds the variance-scaled conjugate of the frames.
     """
-    return _weighted_correlations(np.asarray(stacked), lam, n_channels)
-
-
-def _weighted_correlations(stacked, lam, m, buffer=None):
-    """weighted_correlations, with the variance-scaled conjugate of the
-    stacked frames held in the flat complex ``buffer`` when given.
-
-    The sum of ``stacked_k stacked_k^H / lam_k`` is computed as the
-    conjugate of ``(conj(stacked) / lam)^T @ stacked``, which has the same
-    bits and needs no second conjugated copy of the frames.
-    """
-    k = stacked.shape[-2]
-    scaled = np.conjugate(stacked, out=None if buffer is None else _view(buffer, stacked.shape))
+    stacked = np.asarray(stacked)
     # numpy divides complex by real as a product with the reciprocal; the
     # explicit product gives the same bits at half the cost
-    np.multiply(scaled, (1.0 / np.asarray(lam, dtype=float))[..., None], out=scaled)
-    r_full = _hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ stacked) / k)
+    r_full = _gram(stacked, 1.0 / np.asarray(lam, dtype=float), stacked.shape[-2], buffer)
+    m = n_channels
     return r_full[..., m:, m:], r_full[..., m:, :m], r_full
 
 
@@ -297,7 +300,7 @@ def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
             f"complement={_first(c_sum, empty):.3g})"
         )
     cov_src, cov_rest = (
-        _weighted_covariance(frames, w, total)
+        _gram(frames, w, total[..., None, None])
         for w, total in ((weights, w_sum), (1.0 - weights, c_sum))
     )
     if not (np.all(np.any(cov_src, axis=(-2, -1))) and np.all(np.any(cov_rest, axis=(-2, -1)))):
@@ -310,19 +313,6 @@ def estimate_retf(frames, weights, reference_mic=0, ridge=1e-8):
     if np.any(np.abs(ref) < 1e-12 * np.linalg.norm(steering, axis=-1)):
         raise DegenerateMaskError("steering vector vanishes at the reference microphone")
     return steering / ref[..., None]
-
-
-def _weighted_covariance(frames, weights, total):
-    """Hermitian part of the sum over frames of ``weights_k frames_k
-    frames_k^H``, divided by ``total``.
-
-    Computed, as in ``_weighted_correlations``, as the conjugate of
-    ``(weights * conj(frames))^T @ frames``: the same bits, with the
-    weighted copy the only frame-sized temporary.
-    """
-    scaled = frames * weights[..., None]
-    np.conjugate(scaled, out=scaled)
-    return _hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ frames) / total[..., None, None])
 
 
 def wlcmp_solve(cov, constraints, response, ridge=1e-8):
@@ -384,7 +374,7 @@ def _round(shared, per_speaker, lam, cfg, delta, scaled=None):
     if "stacked" in shared:
         stacked = shared["stacked"]
         # the one scaled buffer serves the speakers in turn
-        grams = [_weighted_correlations(stacked, lam_s, m, scaled)[2] for lam_s in lam]
+        grams = [weighted_correlations(stacked, lam_s, m, scaled)[2] for lam_s in lam]
         r_full = np.stack(grams) if len(grams) > 1 else grams[0][None]
         derev = linalg.hermitian_solve(r_full[..., m:, m:], r_full[..., m:, :m], cfg.ridge)
         d = dereverberate(y, stacked, derev)

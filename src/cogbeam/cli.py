@@ -157,6 +157,9 @@ def _build(section_cls, data, name):
         return section_cls()
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be an object")
+    for f in fields(section_cls):
+        if f.type is int and f.name in data:
+            _integer(data[f.name], f"section {name!r}: {f.name}")
     try:
         return section_cls(**{k: _tupled(v) for k, v in data.items()})
     except (TypeError, ValueError) as exc:
@@ -195,8 +198,8 @@ def load_config(path):
             "metadata.json; remove the key"
         )
     cfg = PipelineConfig(
-        seed=int(raw["seed"]),
-        sample_rate=int(raw.get("sample_rate", 16000)),
+        seed=_integer(raw["seed"], "seed"),
+        sample_rate=_integer(raw.get("sample_rate", 16000), "sample_rate"),
         scene=_build(SceneConfig, raw.get("scene"), "scene"),
         stft=_build(StftConfig, raw.get("stft"), "stft"),
         beamformer_type=raw.get("beamformer_type", "wMPDR"),
@@ -232,6 +235,14 @@ def load_config(path):
             if not p or not Path(p).exists():
                 raise ConfigError(f"aad.{key} not found: {p}")
     return cfg
+
+
+def _integer(value, name):
+    """``value``, which must be a JSON integer: ``int()`` would truncate 1.7
+    and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _is_speaker_index(value, n_speakers):
@@ -433,10 +444,8 @@ def _anechoic_steering(anechoic_irs, cfg, speaker, reference_mic):
 
 def _noise_covariance(noise, stft_cfg):
     """Per-bin covariance of the (M, N) noise component: (bins, mics, mics)."""
-    noise_spec = stft.analyze(noise, stft_cfg)
-    frames = noise_spec.transpose(2, 1, 0)  # (bins, frames, mics)
-    cov = frames.swapaxes(-1, -2) @ frames.conj() / frames.shape[1]
-    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
+    frames = stft.analyze(noise, stft_cfg).transpose(2, 1, 0)  # (bins, frames, mics)
+    return beamform._gram(frames, None, frames.shape[1])
 
 
 def cmd_enhance(cfg, scene_dir, out_dir):

@@ -54,6 +54,11 @@ def loaded(a, ridge):
     return a + load[..., None, None] * np.eye(dim, dtype=a.dtype)
 
 
+def hermitian_part(a):
+    """``(A + A^H) / 2`` of each matrix of the stack ``a`` (..., n, n)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
 def hermitian_solve(a, b, ridge=0.0):
     """Solve ``(A + ridge*trace(A)/dim * I) X = B`` for Hermitian A.
 
@@ -116,9 +121,7 @@ def max_generalized_eigvec(a, b):
     chol = np.linalg.cholesky(b)
     inv_chol = np.linalg.solve(chol, np.broadcast_to(np.eye(n, dtype=complex), chol.shape))
     inv_chol_h = inv_chol.conj().swapaxes(-1, -2)
-    whitened = inv_chol @ a @ inv_chol_h
-    whitened = 0.5 * (whitened + whitened.conj().swapaxes(-1, -2))
-    values, vectors = np.linalg.eigh(whitened)
+    values, vectors = np.linalg.eigh(hermitian_part(inv_chol @ a @ inv_chol_h))
 
     v = (inv_chol_h @ vectors[..., -1:])[..., 0]
     v /= np.linalg.norm(v, axis=-1, keepdims=True)

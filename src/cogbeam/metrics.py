@@ -44,6 +44,11 @@ class FwssnrConfig:
     active_range_db: float = 35.0  # frames this far below the peak are skipped
 
     def __post_init__(self):
+        if not self.frame_ms > 0:
+            raise ValueError(f"frame_ms must be positive, got {self.frame_ms}")
+        # at overlap 1 every sample would start a frame
+        if not 0 <= self.overlap < 1:
+            raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
         if self.clamp_db[0] >= self.clamp_db[1]:
             raise ValueError("clamp range must satisfy lo < hi")
         if self.n_bands < 1:

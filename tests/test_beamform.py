@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogbeam import beamform, linalg, metrics, scene, stft
+from cogbeam import beamform, cli, linalg, metrics, scene, stft
 from cogbeam.beamform import (
     ConstraintRankError,
     ConvBeamformerConfig,
@@ -494,3 +494,77 @@ class TestApplyBinFilters:
             beamform.apply_bin_filters(out.states, s, cfg) for s in comps + [noise]
         )
         np.testing.assert_allclose(parts, out.z, atol=1e-8 * np.abs(out.z).max())
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def old_hermitian_part(a):
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+class TestGramKeepsBits:
+    """``beamform._gram`` against the formulas it replaced, bit for bit."""
+
+    @staticmethod
+    def frames(rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def mask(rng, *shape):
+        # oracle masks hold exact zeros and ones beside fractions
+        return np.clip(rng.uniform(-0.3, 1.3, shape), 0.0, 1.0)
+
+    def test_variance_weighted_correlations(self):
+        rng = np.random.default_rng(40)
+        stacked = self.frames(rng, 5, 70, 3 * 5)
+        lam = rng.uniform(0.1, 4.0, (5, 70))
+        scaled = np.conjugate(stacked)
+        np.multiply(scaled, (1.0 / lam)[..., None], out=scaled)
+        old = old_hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ stacked) / 70)
+        buffer = np.full(stacked.size + 7, np.nan, dtype=complex)
+        for new in (
+            weighted_correlations(stacked, lam, 3)[2],
+            weighted_correlations(stacked, lam, 3, buffer)[2],
+            beamform._gram(stacked, 1.0 / lam, 70),
+            beamform._gram(stacked, 1.0 / lam, 70, buffer),
+        ):
+            assert same_bits(new, old)
+
+    def test_mask_weighted_covariance_with_total_array(self):
+        rng = np.random.default_rng(41)
+        frames = self.frames(rng, 2, 4, 60, 3)
+        weights = self.mask(rng, 2, 4, 60)
+        for w in (weights, 1.0 - weights):
+            total = w.sum(axis=-1)
+            scaled = frames * w[..., None]
+            np.conjugate(scaled, out=scaled)
+            old = old_hermitian_part(
+                np.conjugate(scaled.swapaxes(-1, -2) @ frames) / total[..., None, None]
+            )
+            assert same_bits(beamform._gram(frames, w, total[..., None, None]), old)
+
+    def test_one_row_of_frames_against_speaker_rows_of_weights(self):
+        # the first round's frames are shared by every speaker's mask
+        rng = np.random.default_rng(42)
+        frames = self.frames(rng, 1, 4, 60, 3)
+        weights = self.mask(rng, 3, 4, 60)
+        total = weights.sum(axis=-1)
+        scaled = np.conjugate(frames * weights[..., None])
+        old = old_hermitian_part(
+            np.conjugate(scaled.swapaxes(-1, -2) @ frames) / total[..., None, None]
+        )
+        new = beamform._gram(frames, weights, total[..., None, None])
+        assert new.shape == (3, 4, 3, 3)
+        assert same_bits(new, old)
+
+    def test_noise_covariance(self):
+        rng = np.random.default_rng(43)
+        cfg = stft.StftConfig(frame_length=128, hop=32)
+        noise = rng.standard_normal((3, 4000))
+        frames = stft.analyze(noise, cfg).transpose(2, 1, 0)
+        cov = frames.swapaxes(-1, -2) @ frames.conj() / frames.shape[1]
+        old = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
+        assert same_bits(cli._noise_covariance(noise, cfg), old)
+        assert same_bits(beamform._gram(frames, None, frames.shape[1]), old)

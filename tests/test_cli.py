@@ -766,3 +766,66 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         meta = json.loads((tmp_path / "s2" / "metadata.json").read_text())
         assert meta["seed"] == 99
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("key", ["seed", "sample_rate"])
+    @pytest.mark.parametrize("value", ["abc", 1.7, True, 16000.9, None])
+    def test_top_level_integers_refused_unless_json_integers(self, tmp_path, key, value):
+        # int() raised a bare ValueError on "abc", read 1.7 and true as 1 and
+        # truncated 16000.9
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(cli.ConfigError, match=f"^{key} must be a JSON integer, got "):
+            cli.load_config(path)
+
+    def test_top_level_integers_kept(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, seed=12, sample_rate=8000))
+        assert (cfg.seed, cfg.sample_rate) == (12, 8000)
+        assert cli.load_config(write_config(tmp_path, "default.json")).sample_rate == 16000
+
+    @pytest.mark.parametrize(
+        "section, key, value, shown",
+        [
+            # each loaded, then raised TypeError inside a stage
+            ("scene", "n_mics", True, "true"),
+            ("aad", "channels", 2.5, "2.5"),
+            ("beamformer", "iterations", 1.5, "1.5"),
+            ("stft", "hop", 32.0, "32.0"),
+            ("metrics", "n_bands", "25", '"25"'),
+        ],
+    )
+    def test_int_fields_refuse_bools_and_non_integers(self, tmp_path, section, key, value, shown):
+        path = write_config(tmp_path, **{section: {key: value}})
+        message = rf"section '{section}': {key} must be a JSON integer, got {shown}$"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+
+    def test_int_fields_keep_integers(self, tmp_path):
+        cfg = cli.load_config(
+            write_config(
+                tmp_path, scene={"n_mics": 2}, aad={"channels": 3}, beamformer={"iterations": 1}
+            )
+        )
+        assert (cfg.scene.n_mics, cfg.aad.channels, cfg.beamformer.iterations) == (2, 3, 1)
+
+    @pytest.mark.parametrize(
+        "metrics_cfg, message",
+        [
+            # every sample would start a frame: about 4 GB per framed spectrum of a 60 s scene
+            ({"overlap": 1.0}, r"overlap must be in \[0, 1\), got 1.0"),
+            ({"overlap": -0.5}, r"overlap must be in \[0, 1\), got -0.5"),
+            ({"frame_ms": 0}, r"frame_ms must be positive, got 0"),
+            ({"frame_ms": -32.0}, r"frame_ms must be positive, got -32.0"),
+        ],
+    )
+    def test_fwssnr_framing_refused_at_load(self, tmp_path, metrics_cfg, message):
+        path = write_config(tmp_path, metrics=metrics_cfg)
+        with pytest.raises(cli.ConfigError, match=r"section 'metrics': " + message):
+            cli.load_config(path)
+
+    def test_fwssnr_framing_bounds_are_the_library_s(self):
+        metrics.FwssnrConfig(overlap=0.0)
+        with pytest.raises(ValueError, match="overlap"):
+            metrics.FwssnrConfig(overlap=1.0)
+        with pytest.raises(ValueError, match="frame_ms"):
+            metrics.FwssnrConfig(frame_ms=0.0)
