@@ -12,6 +12,7 @@ produced files. Each stage reads only the scene files it uses.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -86,6 +87,12 @@ class SceneConfig:
                 "condition 'custom' has no preset T60: set scene.t60_s to the "
                 "reverberation time in seconds (0 for an anechoic scene)"
             )
+        if not self.max_pause_s > 0:
+            raise ValueError(f"max_pause_s must be positive, got {self.max_pause_s}")
+        if not self.pause_every_s > 0:
+            raise ValueError(f"pause_every_s must be positive, got {self.pause_every_s}")
+        if not self.pause_length_s >= 0:
+            raise ValueError(f"pause_length_s must be at least 0, got {self.pause_length_s}")
         if self.t60_s is not None and not self.t60_s >= 0:
             raise ValueError(
                 f"scene.t60_s must be at least 0 s (0 for an anechoic scene), got {self.t60_s}"
@@ -158,8 +165,12 @@ def _build(section_cls, data, name):
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be an object")
     for f in fields(section_cls):
-        if f.type is int and f.name in data:
+        if f.name not in data:
+            continue
+        if f.type is int:
             _integer(data[f.name], f"section {name!r}: {f.name}")
+        elif f.type in (float, float | None):
+            _number(data[f.name], f"section {name!r}: {f.name}", nullable=f.type != float)
     try:
         return section_cls(**{k: _tupled(v) for k, v in data.items()})
     except (TypeError, ValueError) as exc:
@@ -242,6 +253,20 @@ def _integer(value, name):
     and read true as 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, name, nullable):
+    """``value``, which must be a finite JSON number, or null if ``nullable``:
+    a bool, a string or NaN would otherwise reach the stage that uses it."""
+    if value is None and nullable:
+        return value
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ConfigError(f"{name} must be a finite JSON number, got {json.dumps(value)}")
     return value
 
 
@@ -395,28 +420,33 @@ def _reference_rows(scene_dir, reference_mics):
 def _oracle_masks(scene_dir, stft_cfg):
     """Oracle ratio masks of the scene pooled over microphones, (I + 1, K, F).
 
-    Built one microphone at a time: a single-channel analysis has the bits
-    of that microphone's row of the multichannel one, and the masks summed
-    in microphone order, then divided by M, have the bits of
-    ``masks.average_masks`` over all microphones. Oracle masks share the
-    construction's source order on every microphone, so no permutation
-    matching is needed before pooling.
+    Built block by block of frames (``stft._frame_blocks``), each block from
+    the sample slice its frames cover, and within a block one microphone at
+    a time: a block's analysis has the bits of those frames of the
+    whole-signal one, and the masks summed in microphone order, then divided
+    by M, have the bits of ``masks.average_masks`` over all microphones.
+    Oracle masks share the construction's source order on every microphone,
+    so no permutation matching is needed before pooling.
     """
     scene_dir = Path(scene_dir)
     components = read_tensor(scene_dir / "components_reverberant.cbtf")
     noise = read_tensor(scene_dir / "noise.cbtf")
-    pooled = None
-    for m in range(noise.shape[0]):
-        mask = masks.oracle_irm(
-            [stft.analyze(c[m], stft_cfg) for c in components],
-            stft.analyze(noise[m], stft_cfg),
-            0,
-        )
-        if pooled is None:
-            pooled = mask
-        else:
-            pooled += mask
-    pooled /= noise.shape[0]
+    n_mics, n_samples = noise.shape
+    blocks = stft._frame_blocks(n_samples, stft_cfg.frame_length, stft_cfg.hop)
+    pooled = np.empty((components.shape[0] + 1, blocks[-1][1], stft_cfg.n_bins))
+    for lo, hi, samples in blocks:
+        block = None
+        for m in range(n_mics):
+            mask = masks.oracle_irm(
+                stft.analyze(components[:, m, samples], stft_cfg)[:, None],
+                stft.analyze(noise[m, samples], stft_cfg),
+                0,
+            )
+            if block is None:
+                block = mask
+            else:
+                block += mask
+        np.divide(block, n_mics, out=pooled[:, lo:hi])
     return pooled
 
 
@@ -453,7 +483,8 @@ def cmd_enhance(cfg, scene_dir, out_dir):
 
     Reads mics.wav and the scene tensors the beamformer type's steering
     needs (``_BEAMFORMERS``); oracle masks are built before the mixture is
-    analyzed, and no scene tensor is held while beamforming. One beamformer
+    analyzed, no scene tensor is held while beamforming, and the mixture's
+    spectrogram and the masks are dropped before synthesis. One beamformer
     call solves every speaker, each with its own reference microphone.
     """
     _check_trial_count(cfg)
@@ -497,6 +528,10 @@ def cmd_enhance(cfg, scene_dir, out_dir):
         inputs.update(mode="wlcmp" if constrained else "wmpdr", sample_rate=fs)
     # looked up at call time, so a wrapper installed on the module applies
     joint = getattr(beamform, entry)(mix_spec, cfg=bf_cfg, **inputs)
+    # synthesis needs only the outputs
+    del mix_spec, inputs
+    if source == "masks":
+        del mask_set
 
     diag_all = {}
     for i in speakers:

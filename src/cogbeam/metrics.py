@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .stft import _frame_blocks
+
 __all__ = [
     "FwssnrConfig",
     "FwssnrReference",
@@ -130,9 +132,25 @@ class FwssnrReference:
         """Band powers (frames, bands) of per-bin powers (frames, bins)."""
         return power_spectra @ self._fb_t
 
+    def frame_blocks(self, n_samples):
+        """``stft._frame_blocks`` of an ``n_samples`` signal framed like the
+        reference: ``(lo, hi, samples)`` per block of frames."""
+        if n_samples < self.frame:
+            raise ValueError(f"signal length {n_samples} shorter than one frame ({self.frame})")
+        return _frame_blocks(n_samples, self.frame, self.hop)
+
     def band_power(self, signal):
-        """Band powers (frames, bands) of a signal framed like the reference."""
-        return self.bands(np.abs(self.spectra(signal)) ** 2)
+        """Band powers (frames, bands) of a signal framed like the reference.
+
+        Framed block by block (``frame_blocks``): each block's band powers
+        have the bits of the same frames' rows in one framing of the whole
+        signal.
+        """
+        blocks = self.frame_blocks(signal.size)
+        out = np.empty((blocks[-1][1], self._fb_t.shape[1]))
+        for lo, hi, samples in blocks:
+            out[lo:hi] = self.bands(np.abs(self.spectra(signal[samples])) ** 2)
+        return out
 
     def score_band_power(self, res_band):
         """fwSSNR in dB of a residual given by its band powers (frames, bands)."""

@@ -265,24 +265,38 @@ def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
     power per frame is the quadratic ``P_ss + 2 gain P_sn + gain**2 P_nn``.
     The three terms come from one framing of the speech residual and of the
     noise; an evaluation only computes the quadratic and scores it.
+
+    The framing runs block by block (``FwssnrReference.frame_blocks``): each
+    block's terms come from the sample slice its frames cover, of the noise,
+    the components and the reference, and are written into the terms of
+    the whole signal with the bits of one framing of it. No whole-signal
+    speech sum, spectrum, power or cross term is built.
     """
     refs = {
         i: metrics.FwssnrReference(unit.anechoic[i, reference_mics[i]], cfg, unit.sample_rate)
         for i in speakers
     }
     framing = refs[speakers[0]]  # every reference frames and bands alike
-    speech_sum = unit.components.sum(axis=0)
-    # terms[i][m] = (P_ss, P_sn, P_nn) of speaker i at microphone m; one
-    # noise and one residual spectrum are alive at a time
-    terms = {i: [] for i in speakers}
+    n_mics, n_samples = unit.noise.shape
+    blocks = framing.frame_blocks(n_samples)
+    shape = framing.ref_band.shape
+    # terms[i][m] = (P_ss, P_sn, P_nn) of speaker i at microphone m; the
+    # noise term is shared by the speakers
+    p_nn = [np.empty(shape) for _ in range(n_mics)]
+    terms = {
+        i: [(np.empty(shape), np.empty(shape), p_nn[m]) for m in range(n_mics)] for i in speakers
+    }
     for m, noise in enumerate(unit.noise):
-        noise_spec = framing.spectra(noise)
-        p_nn = framing.bands(_power(noise_spec))
-        for i in speakers:
-            speech_spec = framing.spectra(speech_sum[m] - refs[i].reference)
-            cross = speech_spec.real * noise_spec.real + speech_spec.imag * noise_spec.imag
-            terms[i].append((framing.bands(_power(speech_spec)), framing.bands(cross), p_nn))
-            del speech_spec, cross
+        for lo, hi, samples in blocks:
+            noise_spec = framing.spectra(noise[samples])
+            p_nn[m][lo:hi] = framing.bands(_power(noise_spec))
+            speech = unit.components[:, m, samples].sum(axis=0)
+            for i in speakers:
+                speech_spec = framing.spectra(speech - refs[i].reference[samples])
+                cross = speech_spec.real * noise_spec.real + speech_spec.imag * noise_spec.imag
+                p_ss, p_sn, _ = terms[i][m]
+                p_ss[lo:hi] = framing.bands(_power(speech_spec))
+                p_sn[lo:hi] = framing.bands(cross)
 
     def per_speaker(gain):
         # max(..., 0): where the residual cancels exactly, rounding can leave
@@ -446,6 +460,11 @@ def synthetic_speech(duration, sample_rate=16000, pause_every=None, pause_length
     if pause_every is not None:
         gap = int(round(pause_length * sample_rate))
         step = int(round(pause_every * sample_rate))
+        if step + gap < 1:
+            raise ValueError(
+                f"pause_every {pause_every} s and pause_length {pause_length} s round to "
+                "no sample, so the pauses would not advance"
+            )
         pos = step
         while pos + gap < n:
             signal[pos : pos + gap] = 0.0

@@ -52,11 +52,38 @@ def _cola_gain(cfg):
     return sum(win_sq[-start] for start in range(0, cfg.frame_length, cfg.hop))
 
 
+# Frames per block of every framing that is reduced right away (this STFT,
+# the fwSSNR band powers, the oracle masks). The last block also takes the
+# remainder (256 to 511 frames), so no block is small: OpenBLAS computes a
+# band product of a few rows with other kernels, whose bits differ from
+# those of the same rows in one product of all frames.
+_BLOCK_FRAMES = 256
+
+
+def _frame_blocks(n_samples, frame_length, hop):
+    """``(lo, hi, samples)`` per block of the frames of an ``n_samples``
+    signal: frames ``lo .. hi - 1``, which cover the sample slice
+    ``samples``, ``_BLOCK_FRAMES`` frames a block and the remainder in the
+    last one. A signal shorter than two blocks is one block."""
+    n_frames = (n_samples - frame_length) // hop + 1
+    stops = list(range(_BLOCK_FRAMES, n_frames - _BLOCK_FRAMES + 1, _BLOCK_FRAMES))
+    stops.append(n_frames)
+    return [
+        (lo, hi, slice(lo * hop, (hi - 1) * hop + frame_length))
+        for lo, hi in zip([0] + stops[:-1], stops)
+    ]
+
+
 def analyze(signal, cfg):
     """STFT of an ``(M, N)`` or ``(N,)`` real signal -> ``(M, K, F)`` complex.
 
     ``K = (N - frame_length) // hop + 1``; all frames lie fully inside the
     signal. Raises ValueError if the signal is shorter than one frame.
+
+    The frames are windowed and transformed block by block
+    (``_frame_blocks``) straight into the output, so no windowed copy of the
+    whole signal exists; each frame's spectrum has the bits of a one-shot
+    transform of all frames.
     """
     signal = np.atleast_2d(np.asarray(signal, dtype=float))
     n = signal.shape[1]
@@ -65,8 +92,12 @@ def analyze(signal, cfg):
             f"signal length {n} shorter than one frame ({cfg.frame_length})"
         )
     windows = np.lib.stride_tricks.sliding_window_view(signal, cfg.frame_length, axis=-1)
-    frames = windows[:, :: cfg.hop] * _window(cfg)
-    return np.fft.rfft(frames, axis=-1)
+    windows = windows[:, :: cfg.hop]
+    win = _window(cfg)
+    out = np.empty(windows.shape[:2] + (cfg.n_bins,), dtype=complex)
+    for lo, hi, _ in _frame_blocks(n, cfg.frame_length, cfg.hop):
+        np.fft.rfft(windows[:, lo:hi] * win, axis=-1, out=out[:, lo:hi])
+    return out
 
 
 def synthesize(spec, cfg):

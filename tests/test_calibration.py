@@ -113,6 +113,56 @@ class TestAgainstFrozenBisection:
         assert objective(0.5 * gain) < CFG.clamp_db[1]
 
 
+class TestBlockedObjective:
+    @staticmethod
+    def unblocked_terms(unit, speaker, reference_mic):
+        """(reference band powers, per-mic (P_ss, P_sn, P_nn)) from one frozen
+        framing of each whole signal."""
+        fb_t = oracle._band_matrix(CFG, 512, FS).T
+        reference = unit.anechoic[speaker, reference_mic]
+        ref_band = np.abs(oracle._frame_spectra(reference, 512, 128)) ** 2 @ fb_t
+        speech = unit.components.sum(axis=0)
+        terms = []
+        for m, noise in enumerate(unit.noise):
+            s = oracle._frame_spectra(speech[m] - reference, 512, 128)
+            n = oracle._frame_spectra(noise, 512, 128)
+            terms.append(
+                (
+                    (s.real**2 + s.imag**2) @ fb_t,
+                    (s.real * n.real + s.imag * n.imag) @ fb_t,
+                    (n.real**2 + n.imag**2) @ fb_t,
+                )
+            )
+        return ref_band, terms
+
+    @pytest.mark.parametrize("n_sources, reference_mics", [(2, [0, 2]), (3, [0, 2, 3])])
+    def test_per_speaker_scores_have_the_bits_of_unblocked_band_terms(
+        self, n_sources, reference_mics
+    ):
+        # 6.5 s is 809 fwSSNR frames: blocks of 256, 256 and 297 frames
+        sc = make_scene(n_sources=n_sources, n_mics=4, duration=6.5, seed=20 + n_sources)
+        unit = render(sc, 1.0)
+        objective = scene._input_fwssnr_of_gain(unit, range(n_sources), CFG, reference_mics)
+        refs = [
+            FwssnrReference(unit.anechoic[i, mic], CFG, FS) for i, mic in enumerate(reference_mics)
+        ]
+        unblocked = [self.unblocked_terms(unit, i, reference_mics[i]) for i in range(n_sources)]
+        for ref, (ref_band, _) in zip(refs, unblocked):
+            assert ref_band.shape[0] == 809
+            np.testing.assert_array_equal(ref.ref_band, ref_band)
+        for gain in [1e-3, 0.05, 0.4, 1.0, 7.0, 1e3]:
+            want = [
+                max(
+                    ref.score_band_power(
+                        np.maximum(p_ss + 2.0 * gain * p_sn + gain**2 * p_nn, 0.0)
+                    )
+                    for p_ss, p_sn, p_nn in terms
+                )
+                for ref, (_, terms) in zip(refs, unblocked)
+            ]
+            assert objective.per_speaker(gain) == want
+
+
 class TestRenderOnce:
     @pytest.mark.parametrize("gain", [0.0, 0.037, 1.0, 2.5])
     def test_with_noise_gain_is_bitwise_render(self, gain):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,26 @@ class TestConfig:
         path = write_config(tmp_path, scene={"condition": condition, "t60_s": -0.1})
         with pytest.raises(cli.ConfigError, match=r"scene\.t60_s must be at least 0"):
             cli.load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # -1 failed inside simulate with a bare ValueError from shorten_pauses
+            ("max_pause_s", -1.0, "max_pause_s must be positive, got -1.0"),
+            ("max_pause_s", 0, "max_pause_s must be positive, got 0"),
+            # 0 with a zero pause length would never advance synthetic_speech
+            ("pause_every_s", 0.0, "pause_every_s must be positive, got 0.0"),
+            ("pause_length_s", -0.5, "pause_length_s must be at least 0, got -0.5"),
+        ],
+    )
+    def test_pause_settings_refused(self, tmp_path, key, value, message):
+        path = write_config(tmp_path, scene={key: value})
+        with pytest.raises(cli.ConfigError, match=rf"section 'scene': {message}$"):
+            cli.load_config(path)
+
+    def test_sub_sample_pauses_refused_by_synthetic_speech(self):
+        with pytest.raises(ValueError, match="would not advance"):
+            scene.synthetic_speech(0.1, pause_every=1e-5, pause_length=0.0)
 
     def test_eeg_rate_below_one_refused(self, tmp_path):
         path = write_config(tmp_path, aad={"rate": 0})
@@ -257,12 +278,12 @@ class TestSimulate:
         assert meta["mean_input_fwssnr_db"] == pytest.approx(0.5, abs=0.1)
 
     def test_calibrated_metadata_reads_calibration_scores(self, tmp_path, monkeypatch):
-        framings = []
+        framings = []  # frames framed per call; a signal is framed in blocks
         frame_spectra = metrics._frame_spectra
 
-        def counting(*args):
-            framings.append(args)
-            return frame_spectra(*args)
+        def counting(signal, frame, hop):
+            framings.append((signal.size - frame) // hop + 1)
+            return frame_spectra(signal, frame, hop)
 
         monkeypatch.setattr(metrics, "_frame_spectra", counting)
         cfg = cli.load_config(
@@ -271,10 +292,11 @@ class TestSimulate:
             )
         )
         meta = cli.cmd_simulate(cfg, tmp_path / "scene")
+        rebuilt = self.stored_scene(tmp_path / "scene")
         # 2 references, then per microphone the noise and 2 speech residuals;
         # re-scoring the calibrated scene would frame 10 more signals
-        assert len(framings) == 14
-        rebuilt = self.stored_scene(tmp_path / "scene")
+        frames_per_signal = (rebuilt.noise.shape[1] - 512) // 128 + 1
+        assert sum(framings) == 14 * frames_per_signal
         for i, mic in enumerate(meta["reference_mics"]):
             want = metrics.input_fwssnr(rebuilt, i, cfg.metrics, cfg.sample_rate, mic)
             assert abs(meta["input_fwssnr_db"][i] - want) <= 1e-12
@@ -430,6 +452,35 @@ class TestEnhance:
         streamed = cli._oracle_masks(tmp_path / "scene", cfg.stft)
         assert streamed.shape == (n_speakers + 1,) + noise_spec.shape[1:]
         assert np.array_equal(streamed, reference)
+
+    @pytest.mark.parametrize("n_speakers", [2, 3])
+    def test_blocked_oracle_masks_match_whole_signal_per_mic_masks(self, tmp_path, n_speakers):
+        # 773 frames of a 128/32 STFT: blocks of 256, 256 and 261 frames
+        from cogbeam import masks as masks_mod
+        from cogbeam import stft as stft_mod
+
+        stft_cfg = stft_mod.StftConfig(frame_length=128, hop=32)
+        rng = np.random.default_rng(n_speakers)
+        n_samples = 772 * 32 + 128 + 5
+        comps = rng.standard_normal((n_speakers, 3, n_samples)) * rng.uniform(0, 2, n_samples)
+        noise = 0.1 * rng.standard_normal((3, n_samples))
+        comps[:, :, :300] = 0.0
+        noise[:, :300] = 0.0  # all-zero bins take the uniform value
+        (tmp_path / "scene").mkdir()
+        write_tensor(tmp_path / "scene" / "components_reverberant.cbtf", comps)
+        write_tensor(tmp_path / "scene" / "noise.cbtf", noise)
+
+        def one_shot(x):  # every frame of a whole signal windowed and transformed at once
+            windows = np.lib.stride_tricks.sliding_window_view(x, 128, axis=-1)[..., ::32, :]
+            return np.fft.rfft(windows * stft_mod._window(stft_cfg), axis=-1)
+
+        per_mic = [
+            masks_mod.oracle_irm([one_shot(c[m])[None] for c in comps], one_shot(noise[m])[None], 0)
+            for m in range(3)
+        ]
+        blocked = cli._oracle_masks(tmp_path / "scene", stft_cfg)
+        assert blocked.shape == (n_speakers + 1, 773, 65)
+        np.testing.assert_array_equal(blocked, masks_mod.average_masks(per_mic))
 
     @pytest.mark.parametrize("kind", ["MPDR", "LCMP", "MVDR", "LCMV"])
     def test_conventional_types_run(self, pipeline, tmp_path, kind):
@@ -799,6 +850,40 @@ class TestConfigTypes:
         message = rf"section '{section}': {key} must be a JSON integer, got {shown}$"
         with pytest.raises(cli.ConfigError, match=message):
             cli.load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value, shown",
+        [
+            # each loaded and reached a stage as a bool, a string or NaN
+            ("scene", "duration_s", True, "true"),
+            ("scene", "noise_gain", "0.1", '"0.1"'),
+            ("scene", "t60_s", False, "false"),
+            ("scene", "max_pause_s", [0.5], "[0.5]"),
+            ("aad", "snr_db", float("nan"), "NaN"),
+            ("aad", "ridge", float("inf"), "Infinity"),
+            ("beamformer", "delta", None, "null"),
+            ("metrics", "weight_exponent", "0.2", '"0.2"'),
+        ],
+    )
+    def test_float_fields_refuse_non_numbers(self, tmp_path, section, key, value, shown):
+        path = write_config(tmp_path, **{section: {key: value}})
+        shown = re.escape(shown)
+        message = rf"section '{section}': {key} must be a finite JSON number, got {shown}$"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+
+    def test_float_fields_keep_numbers_and_optional_nulls(self, tmp_path):
+        cfg = cli.load_config(
+            write_config(
+                tmp_path,
+                scene={"duration_s": 6, "t60_s": 0, "noise_gain": 0.25},
+                aad={"snr_db": -5},
+            )
+        )
+        assert (cfg.scene.duration_s, cfg.scene.noise_gain, cfg.scene.t60_s) == (6, 0.25, 0)
+        assert cfg.aad.snr_db == -5
+        cfg = cli.load_config(write_config(tmp_path, scene={"target_input_fwssnr_db": None}))
+        assert cfg.scene.target_input_fwssnr_db is None
 
     def test_int_fields_keep_integers(self, tmp_path):
         cfg = cli.load_config(

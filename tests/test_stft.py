@@ -77,6 +77,37 @@ class TestAnalyze:
             assert np.array_equal(stft.analyze(x[m], cfg)[0], spec[m])
 
 
+class TestBlockedAnalysis:
+    @pytest.mark.parametrize("frame_length, hop", [(512, 128), (128, 32)])
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 3 * 256 + 5])
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_same_bits_as_one_shot_transform(self, frame_length, hop, n_frames, channels):
+        # frames are transformed in blocks; the reference windows and
+        # transforms every frame in one call
+        cfg = stft.StftConfig(frame_length=frame_length, hop=hop)
+        rng = np.random.default_rng(n_frames)
+        x = rng.standard_normal((channels, (n_frames - 1) * hop + frame_length + hop - 1))
+        windows = np.lib.stride_tricks.sliding_window_view(x, frame_length, axis=-1)
+        want = np.fft.rfft(windows[:, ::hop] * stft._window(cfg), axis=-1)
+        got = stft.analyze(x, cfg)
+        assert got.shape == (channels, n_frames, cfg.n_bins)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n_frames, sizes",
+        [(1, [1]), (511, [511]), (512, [256, 256]), (3 * 256 + 5, [256, 256, 261])],
+    )
+    def test_blocks_cover_the_frames_with_the_remainder_last(self, n_frames, sizes):
+        n_samples = (n_frames - 1) * 128 + 512
+        blocks = stft._frame_blocks(n_samples, 512, 128)
+        assert [hi - lo for lo, hi, _ in blocks] == sizes
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_frames
+        for (_, hi, _), (lo, _, _) in zip(blocks, blocks[1:]):
+            assert hi == lo
+        for lo, hi, samples in blocks:
+            assert (samples.start, samples.stop) == (lo * 128, (hi - 1) * 128 + 512)
+
+
 class TestSynthesize:
     def test_zero_spectrogram(self):
         out = stft.synthesize(np.zeros((1, 5, 257), dtype=complex), CFG)
