@@ -64,7 +64,6 @@ __all__ = [
     "wlcmp_solve",
     "run_conv_beamformer",
     "mpdr",
-    "lcmp",
     "mvdr_lcmv",
     "apply_bin_filters",
 ]
@@ -114,7 +113,9 @@ class ConvBeamformerConfig:
     solve. ``iterations`` is the number of reweighting rounds of wMPDR and
     wLCMP; in the README's study the default 2 has the highest mean over
     conditions and types of the median fwSSNR gain, and beats 10 rounds in
-    every condition and type.
+    every condition and type. ``delta`` is the response level of every
+    interferer constraint (wLCMP, LCMP, LCMV), one value or one per
+    interferer; 0 is a hard null.
     """
 
     frame_delay: int = 4
@@ -352,7 +353,7 @@ def _constraint_set(target, interferers, delta):
     return constraints, np.broadcast_to(response, target.shape[:-1] + response.shape)
 
 
-def _round(shared, per_speaker, lam, cfg, delta, scaled=None):
+def _round(shared, per_speaker, lam, cfg, scaled=None):
     """One round of the shared solve for a grid of (speaker, bin) pairs.
 
     ``shared`` holds the arrays every speaker uses, with a leading bin axis:
@@ -365,7 +366,8 @@ def _round(shared, per_speaker, lam, cfg, delta, scaled=None):
     prediction filter and covariance are then solved once. ``scaled``, when
     given, is the flat buffer that holds the variance-scaled conjugate of
     the stacked frames. Returns (z, G or None, q, constraints, response),
-    with leading (speakers, bins) axes, (L, bins) for G.
+    with leading (speakers, bins) axes; with L = 1, every speaker's G is a
+    view of the one filter.
     """
     y = shared["frames"]
     m = y.shape[-1]
@@ -378,6 +380,7 @@ def _round(shared, per_speaker, lam, cfg, delta, scaled=None):
         r_full = np.stack(grams) if len(grams) > 1 else grams[0][None]
         derev = linalg.hermitian_solve(r_full[..., m:, m:], r_full[..., m:, :m], cfg.ridge)
         d = dereverberate(y, stacked, derev)
+        derev = np.broadcast_to(derev, per_speaker["reference_mic"].shape + derev.shape[2:])
     if "noise_cov" in shared:
         cov, target = shared["noise_cov"], per_speaker["steering"]
         interferers = per_speaker.get("interferer_steering")
@@ -392,40 +395,20 @@ def _round(shared, per_speaker, lam, cfg, delta, scaled=None):
                 for im in np.moveaxis(per_speaker["interferer_masks"], -2, 0)
             ]
             interferers = np.stack(retfs, axis=-1)
-    constraints, response = _constraint_set(target, interferers, delta)
+    constraints, response = _constraint_set(target, interferers, cfg.delta)
     weights = wlcmp_solve(cov, constraints, response, cfg.ridge)
     z = (d @ weights.conj()[..., None])[..., 0]
     return z, derev, weights, constraints, response
 
 
-def _grids(alive):
-    """(speakers, bins) index arrays that cover the alive pairs of a
-    (speakers, bins) mask: speakers with the same alive bins share a grid."""
-    groups = {}
-    for s, row in enumerate(alive):
-        if row.any():
-            groups.setdefault(row.tobytes(), []).append(s)
-    return [(np.array(spk), np.flatnonzero(alive[spk[0]])) for spk in groups.values()]
-
-
-def _solve_chunk(shared, per_speaker, cfg, rounds, delta, scaled=None):
-    """Run the shared solve on one chunk for every speaker, containing
-    failures per (speaker, bin) pair.
-
-    Each round solves one grid of pairs per group of speakers with the same
-    surviving bins. A grid that raises is repeated pair by pair: the pairs
-    that raise again are dropped with their (speaker, local bin, round,
-    message) record, the others keep the results of their single-pair run,
-    which are the values the grid run computes for them. ``scaled`` is
-    passed to every round. Returns ((speakers, bins) mask of the solved
-    pairs, their final-round outputs with leading (speakers, bins) axes or
-    None if no pair is left, (rounds, speakers, bins) objective, failures).
+def _solve_grid(shared, per_speaker, cfg, rounds, scaled=None):
+    """Run every round of the shared solve on a (speakers, bins) grid of
+    pairs, without containing failures: an error a round raises carries
+    that round in its ``round`` attribute. Returns the final round's outputs
+    and the (rounds, speakers, bins) objective, NaN without reweighting.
     """
     y = shared["frames"]
-    n_spk, n_bins = per_speaker["reference_mic"].shape
-    alive = np.ones((n_spk, n_bins), dtype=bool)
-    objective = np.full((rounds, n_spk, n_bins), np.nan)
-    failures = []
+    objective = np.full((rounds,) + per_speaker["reference_mic"].shape, np.nan)
     weighted = "stacked" in shared
     # the first round weights every speaker alike: one row for all
     if weighted:
@@ -434,50 +417,59 @@ def _solve_chunk(shared, per_speaker, cfg, rounds, delta, scaled=None):
         lam = np.maximum(frame_power, floor[:, None])[None]
     else:
         lam = np.ones((1,) + y.shape[:-1])
-    final = None
-
-    def solve(grid, bins):
-        sub = shared if len(bins) == n_bins else {k: v[bins] for k, v in shared.items()}
-        sub_per = {k: v[grid] for k, v in per_speaker.items()}
-        lam_pairs = lam[grid] if len(lam) > 1 else lam[:, bins]
-        return _round(sub, sub_per, lam_pairs, cfg, delta, scaled)
-
     for it in range(rounds):
-        # after the first round, each speaker has variances of its own
-        lam_out = np.empty((n_spk,) + lam.shape[1:]) if weighted and len(lam) < n_spk else lam
+        try:
+            out = _round(shared, per_speaker, lam, cfg, scaled)
+        except _CONTAINED as exc:
+            exc.round = it
+            raise
+        if weighted:
+            # after the first round, each speaker has variances of its own
+            power = np.abs(out[0]) ** 2
+            lam = np.maximum(power, floor[:, None])
+            objective[it] = np.log(lam).sum(axis=-1) + (power / lam).sum(axis=-1)
+    return out, objective
 
-        def record(grid, bins, out):
-            nonlocal final
-            if weighted:
-                power = np.abs(out[0]) ** 2
-                lam_out[grid] = lam_pairs = np.maximum(power, floor[bins, None])
-                log_term = np.log(lam_pairs).sum(axis=-1)
-                objective[it][grid] = log_term + (power / lam_pairs).sum(axis=-1)
-            if it == rounds - 1:
-                if final is None:
-                    final = [
-                        None if a is None else np.zeros((n_spk, n_bins) + a.shape[2:], a.dtype)
-                        for a in out
-                    ]
-                for store, a in zip(final, out):
-                    if store is not None:
-                        store[grid] = a
 
-        for speakers, bins in _grids(alive):
-            grid = np.ix_(speakers, bins)
+def _solve_chunk(shared, per_speaker, cfg, rounds, scaled=None):
+    """Run the shared solve on one chunk for every speaker, containing
+    failures per (speaker, bin) pair.
+
+    The chunk is solved as one grid. If any round raises, every pair is
+    solved alone from the first round: the pairs that raise are dropped with
+    their (speaker, local bin, round, message) record, the others keep the
+    results of their own run, the values the grid run computes for them.
+    Returns ((speakers, bins) mask of the solved pairs, their final-round
+    outputs or None if no pair is left, (rounds, speakers, bins) objective,
+    failures).
+    """
+    n_spk, n_bins = per_speaker["reference_mic"].shape
+    alive = np.ones((n_spk, n_bins), dtype=bool)
+    failures = []
+    try:
+        final, objective = _solve_grid(shared, per_speaker, cfg, rounds, scaled)
+    except _CONTAINED:
+        final, objective = None, np.full((rounds, n_spk, n_bins), np.nan)
+        for s, b in itertools.product(range(n_spk), range(n_bins)):
+            pair = {k: v[np.ix_([s], [b])] for k, v in per_speaker.items()}
             try:
-                record(grid, bins, solve(grid, bins))
-            except _CONTAINED:
-                for s, b in itertools.product(speakers, bins):
-                    pair = np.ix_([s], [b])
-                    try:
-                        record(pair, [b], solve(pair, [b]))
-                    except _CONTAINED as exc:
-                        alive[s, b] = False
-                        failures.append((int(s), int(b), it, str(exc)))
-        if not alive.any():
+                out, objective[:, s : s + 1, b : b + 1] = _solve_grid(
+                    {k: v[[b]] for k, v in shared.items()}, pair, cfg, rounds, scaled
+                )
+            except _CONTAINED as exc:
+                alive[s, b] = False
+                failures.append((s, b, exc.round, str(exc)))
+                continue
+            if final is None:
+                final = [
+                    None if a is None else np.zeros((n_spk, n_bins) + a.shape[2:], a.dtype)
+                    for a in out
+                ]
+            for store, a in zip(final, out):
+                if store is not None:
+                    store[s, b] = a[0, 0]
+        if final is None:
             return alive, None, objective, failures
-        lam = lam_out
     bad = alive & ~np.all(np.isfinite(final[0]), axis=-1)
     failures += [(int(s), int(b), rounds - 1, "non-finite output") for s, b in np.argwhere(bad)]
     return alive & ~bad, final, objective, failures
@@ -514,7 +506,7 @@ def _passthrough_state(m, l_w, reference_mic):
     return BinState(l_w, None, weights, None, None, passthrough=True)
 
 
-def _beamform(spec, cfg, shared, per_speaker, delta, convolutional, sample_rate=16000):
+def _beamform(spec, cfg, shared, per_speaker, joint, convolutional, sample_rate=16000):
     """The shared constrained minimum-power solve over all bins and speakers.
 
     ``shared`` maps the inputs of ``_round`` that all speakers use to arrays
@@ -523,7 +515,7 @@ def _beamform(spec, cfg, shared, per_speaker, delta, convolutional, sample_rate=
     filter and ``cfg.iterations`` rounds of variance reweighting; otherwise
     one round runs on unit variances. Pairs whose solve fails fall back to a
     passthrough of the speaker's reference microphone. Returns the joint
-    output of the S speakers.
+    output of the S speakers, or without ``joint`` the one speaker's output.
     """
     m, k, f = spec.shape
     n_spk = len(per_speaker["mask" if "mask" in per_speaker else "steering"])
@@ -555,7 +547,7 @@ def _beamform(spec, cfg, shared, per_speaker, delta, convolutional, sample_rate=
             workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
         # each worker's chunks fit its share of the byte budget
         chunks = list(_chunks(keys, lambda l_w: workers * _bin_bytes(k, m, l_w, cfg, n_spk)))
-        results = _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds, delta)
+        results = _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds)
         for (l_w, bins), (alive, out, objective, chunk_failures) in zip(chunks, results):
             failures += [(s, int(bins[b]), it, msg) for s, b, it, msg in chunk_failures]
             if out is None:
@@ -583,10 +575,11 @@ def _beamform(spec, cfg, shared, per_speaker, delta, convolutional, sample_rate=
         constraint_residual_per_bin=residuals,
         failed_bins=sorted(failures),
     )
-    return BeamformerOutput(z, states, diagnostics)
+    out = BeamformerOutput(z, states, diagnostics)
+    return out if joint else out.speaker(0)
 
 
-def _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds, delta):
+def _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds):
     """``_solve_chunk`` of every chunk on a pool of ``workers`` threads, or on
     the calling thread for one worker; yields the results in chunk order, so
     that each is assembled and dropped while later chunks are solved.
@@ -617,7 +610,7 @@ def _solve_chunks(spec, shared, per_speaker, chunks, workers, cfg, rounds, delta
             # a C-contiguous (speakers, bins) copy; ``take`` would first copy all bins
             grid = np.ix_(speakers, bins)
             chunk_per = {name: values[grid] for name, values in per_speaker.items()}
-            return _solve_chunk(chunk_shared, chunk_per, cfg, rounds, delta, scaled_buf)
+            return _solve_chunk(chunk_shared, chunk_per, cfg, rounds, scaled_buf)
         finally:
             buffers.put((stacked_buf, scaled_buf))
 
@@ -637,12 +630,6 @@ def _bin_bytes(k, m, l_w, cfg, speakers=1):
     and the output of a single-round solve hold frame-sized arrays per
     speaker."""
     return 16 * k * m * (l_w - cfg.frame_delay + 1 if l_w else speakers)
-
-
-def _result(out, joint):
-    """What an entry point returns: the joint output of a joint call, the
-    one speaker's output otherwise."""
-    return out if joint else out.speaker(0)
 
 
 def _mask_inputs(target_mask, interferer_masks, k, f):
@@ -668,59 +655,44 @@ def _mask_inputs(target_mask, interferer_masks, k, f):
     return per_speaker, joint
 
 
-def run_conv_beamformer(
-    spec, target_mask, interferer_masks=None, cfg=None, mode="wmpdr", sample_rate=16000
-):
+def run_conv_beamformer(spec, target_mask, interferer_masks=None, cfg=None, sample_rate=16000):
     """Convolutional beamformer over all bins: alternate prediction-filter,
     steering, weight and variance updates for ``cfg.iterations`` rounds.
 
-    ``mode`` is "wmpdr" (distortionless only) or "wlcmp" (adds one response
-    constraint per interferer mask at level ``cfg.delta``). A (K, F)
-    ``target_mask`` with a list of (K, F) interferer masks solves one
-    speaker; an (S, K, F) stack with (S, U, K, F) interferer masks solves S
-    speakers of the mixture in one pass and returns their joint output
-    (``BeamformerOutput.speaker``). Bins whose solve fails fall back to a
-    reference-microphone passthrough and are recorded in the diagnostics
-    instead of aborting the utterance.
+    Without interferer masks this is wMPDR (distortionless only); with them
+    it is wLCMP, which adds one response constraint per interferer mask at
+    level ``cfg.delta``. A (K, F) ``target_mask`` with a list of (K, F)
+    interferer masks solves one speaker; an (S, K, F) stack with (S, U, K,
+    F) interferer masks solves S speakers of the mixture in one pass and
+    returns their joint output (``BeamformerOutput.speaker``). Bins whose
+    solve fails fall back to a reference-microphone passthrough and are
+    recorded in the diagnostics instead of aborting the utterance.
     """
     cfg = cfg or ConvBeamformerConfig()
-    if mode not in ("wmpdr", "wlcmp"):
-        raise ValueError(f"unknown mode {mode!r}")
-    spec = np.asarray(spec)
-    _, k, f = spec.shape
-    interferers = interferer_masks if mode == "wlcmp" else None
-    per_speaker, joint = _mask_inputs(target_mask, interferers, k, f)
-    return _result(_beamform(spec, cfg, {}, per_speaker, cfg.delta, True, sample_rate), joint)
-
-
-def mpdr(spec, target_mask, cfg=None):
-    """Conventional distortionless minimum-power beamformer on the raw-signal
-    covariance, steered by a covariance-whitening estimate from the raw
-    frames. Non-iterative. An (S, K, F) ``target_mask`` solves S speakers."""
-    cfg = cfg or ConvBeamformerConfig()
-    spec = np.asarray(spec)
-    per_speaker, joint = _mask_inputs(target_mask, None, *spec.shape[1:])
-    return _result(_beamform(spec, cfg, {}, per_speaker, None, False), joint)
-
-
-def lcmp(spec, target_mask, interferer_masks, delta=None, cfg=None):
-    """Conventional linearly constrained minimum-power beamformer; ``delta``
-    sets the per-interferer response (0 = hard null). An (S, K, F)
-    ``target_mask`` with (S, U, K, F) interferer masks solves S speakers."""
-    cfg = cfg or ConvBeamformerConfig()
-    if delta is None:
-        delta = cfg.delta
     spec = np.asarray(spec)
     per_speaker, joint = _mask_inputs(target_mask, interferer_masks, *spec.shape[1:])
-    return _result(_beamform(spec, cfg, {}, per_speaker, delta, False), joint)
+    return _beamform(spec, cfg, {}, per_speaker, joint, True, sample_rate)
 
 
-def mvdr_lcmv(spec, steering, noise_cov, delta=None, interferer_steering=None, cfg=None):
+def mpdr(spec, target_mask, interferer_masks=None, cfg=None):
+    """Conventional minimum-power beamformer on the raw-signal covariance,
+    steered by covariance-whitening estimates from the raw frames.
+    Non-iterative. Without interferer masks this is the distortionless MPDR;
+    with them it is LCMP, with one response constraint per interferer at
+    level ``cfg.delta``. An (S, K, F) ``target_mask`` with (S, U, K, F)
+    interferer masks solves S speakers."""
+    cfg = cfg or ConvBeamformerConfig()
+    spec = np.asarray(spec)
+    per_speaker, joint = _mask_inputs(target_mask, interferer_masks, *spec.shape[1:])
+    return _beamform(spec, cfg, {}, per_speaker, joint, False)
+
+
+def mvdr_lcmv(spec, steering, noise_cov, interferer_steering=None, cfg=None):
     """Minimum-variance beamformer with caller-supplied (F, M) steering
-    vectors and (F, M, M) noise covariance; with ``delta`` and (F, M, U)
-    interferer steering it becomes the constrained variant. (S, F, M)
-    steering with (S, F, M, U) interferer steering solves S speakers that
-    share the noise covariance."""
+    vectors and (F, M, M) noise covariance; with (F, M, U) interferer
+    steering it becomes LCMV, with one response constraint per interferer at
+    level ``cfg.delta``. (S, F, M) steering with (S, F, M, U) interferer
+    steering solves S speakers that share the noise covariance."""
     cfg = cfg or ConvBeamformerConfig()
     steering = np.asarray(steering, dtype=complex)
     joint = steering.ndim == 3
@@ -728,10 +700,8 @@ def mvdr_lcmv(spec, steering, noise_cov, delta=None, interferer_steering=None, c
     if interferer_steering is not None:
         others = np.asarray(interferer_steering, dtype=complex)
         per_speaker["interferer_steering"] = others.reshape((-1,) + others.shape[-3:])
-        if delta is None:
-            delta = cfg.delta
     shared = {"noise_cov": np.asarray(noise_cov, dtype=complex)}
-    return _result(_beamform(np.asarray(spec), cfg, shared, per_speaker, delta, False), joint)
+    return _beamform(np.asarray(spec), cfg, shared, per_speaker, joint, False)
 
 
 def apply_bin_filters(states, spec, cfg=None):

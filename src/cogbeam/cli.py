@@ -35,7 +35,7 @@ _BEAMFORMERS = {
     "wMPDR": ("run_conv_beamformer", "masks", False),
     "wLCMP": ("run_conv_beamformer", "masks", True),
     "MPDR": ("mpdr", "masks", False),
-    "LCMP": ("lcmp", "masks", True),
+    "LCMP": ("mpdr", "masks", True),
     "MVDR": ("mvdr_lcmv", "direct", False),
     "LCMV": ("mvdr_lcmv", "direct", True),
 }
@@ -219,6 +219,14 @@ def load_config(path):
         aad=_build(AadConfig, raw.get("aad"), "aad"),
         metrics=_build(FwssnrConfig, raw.get("metrics"), "metrics"),
     )
+    nyquist = cfg.sample_rate / 2
+    if nyquist <= 500:  # scene.speech_shape_filter's cutoff
+        raise ConfigError(f"sample_rate must exceed 1000 Hz, got {cfg.sample_rate}")
+    lo, hi = cfg.metrics.band_range_hz
+    if lo >= nyquist or (hi is not None and hi > nyquist):
+        raise ConfigError(f"metrics.band_range_hz {[lo, hi]} must lie within [0, {nyquist:g}] Hz")
+    if cfg.aad.rate > cfg.sample_rate:  # envelopes are resampled down to it
+        raise ConfigError(f"aad.rate {cfg.aad.rate} must not exceed sample_rate {cfg.sample_rate}")
     if cfg.beamformer_type not in BEAMFORMER_TYPES:
         raise ConfigError(
             f"beamformer_type must be one of {BEAMFORMER_TYPES}, "
@@ -525,7 +533,7 @@ def cmd_enhance(cfg, scene_dir, out_dir):
                 [np.stack([steering(j, i) for j in others[i]], axis=2) for i in speakers]
             )
     if entry == "run_conv_beamformer":
-        inputs.update(mode="wlcmp" if constrained else "wmpdr", sample_rate=fs)
+        inputs["sample_rate"] = fs
     # looked up at call time, so a wrapper installed on the module applies
     joint = getattr(beamform, entry)(mix_spec, cfg=bf_cfg, **inputs)
     # synthesis needs only the outputs

@@ -9,6 +9,7 @@ variant, so relative numbers are self-consistent.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -51,10 +52,29 @@ class FwssnrConfig:
         # at overlap 1 every sample would start a frame
         if not 0 <= self.overlap < 1:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
-        if self.clamp_db[0] >= self.clamp_db[1]:
-            raise ValueError("clamp range must satisfy lo < hi")
+        # the lower band edge would otherwise reach the filterbank as NaN or
+        # above the upper edge, which leaves every band empty
+        lo, hi = _finite_pair(self.band_range_hz, "band_range_hz", upper_nullable=True)
+        if not 0 <= lo < (math.inf if hi is None else hi):
+            raise ValueError(f"band_range_hz must satisfy 0 <= lo < hi, got {[lo, hi]}")
+        lo, hi = _finite_pair(self.clamp_db, "clamp_db")
+        if lo >= hi:
+            raise ValueError(f"clamp_db must satisfy lo < hi, got {[lo, hi]}")
         if self.n_bands < 1:
             raise ValueError("need at least one band")
+
+
+def _finite_pair(value, name, upper_nullable=False):
+    """``value`` as (lo, hi), two finite numbers; hi may be None if ``upper_nullable``."""
+    finite = [
+        (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v))
+        or (v is None and upper_nullable and i == 1)
+        for i, v in enumerate(value if isinstance(value, (tuple, list)) else [value])
+    ]
+    if finite != [True, True]:
+        upper = " (the upper one may be null)" if upper_nullable else ""
+        raise ValueError(f"{name} must be [lo, hi], two finite numbers{upper}, got {value!r}")
+    return value
 
 
 def _hz_to_mel(f):

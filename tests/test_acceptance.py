@@ -224,8 +224,8 @@ def trend_results():
         reference = rendered.anechoic[0, ref_mic]
         input_db = metrics.input_fwssnr(rendered, 0, reference_mic=ref_mic)
         bf = ConvBeamformerConfig(reference_mic=ref_mic)
-        conv = beamform.run_conv_beamformer(mix, mask_set[0], cfg=bf, mode="wmpdr")
-        plain = beamform.mpdr(mix, mask_set[0], bf)
+        conv = beamform.run_conv_beamformer(mix, mask_set[0], cfg=bf)
+        plain = beamform.mpdr(mix, mask_set[0], cfg=bf)
         for out, sink in ((conv, deltas_conv), (plain, deltas_plain)):
             signal = stft.synthesize(out.z[None], cfg)[0]
             n = min(signal.size, reference.size)
@@ -275,9 +275,7 @@ def test_criterion_7_interferer_suppression():
     sir_gain = None
     for delta in (0.0, 0.1):
         bf = ConvBeamformerConfig(reference_mic=ref_mic, delta=delta)
-        out = beamform.run_conv_beamformer(
-            mix, mask_set[0], mask_set[1:2], bf, mode="wlcmp"
-        )
+        out = beamform.run_conv_beamformer(mix, mask_set[0], mask_set[1:2], bf)
         z_target = beamform.apply_bin_filters(out.states, comps[0], bf)
         z_interf = beamform.apply_bin_filters(out.states, comps[1], bf)
         residuals[delta] = energy(z_interf)
@@ -324,11 +322,9 @@ def test_criterion_8_iteration_stability():
         mask_set = masks.average_masks(
             [masks.oracle_irm(comps, nspec, m) for m in range(4)]
         )
-        for mode, interferers in (("wmpdr", None), ("wlcmp", mask_set[1:2])):
+        for interferers in (None, mask_set[1:2]):  # wMPDR, wLCMP
             bf = ConvBeamformerConfig()  # the default round count
-            out = beamform.run_conv_beamformer(
-                mix, mask_set[0], interferers, bf, mode=mode
-            )
+            out = beamform.run_conv_beamformer(mix, mask_set[0], interferers, bf)
             all_finite &= bool(np.all(np.isfinite(out.z)))
             obj = out.diagnostics.objective
             steps = [(b - a) / abs(a) for a, b in zip(obj, obj[1:])]

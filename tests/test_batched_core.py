@@ -1,6 +1,7 @@
 """The frequency-batched beamformer core against the frozen per-bin oracle,
 plus property tests of the batched kernels."""
 
+import operator
 import os
 import sys
 import threading
@@ -58,19 +59,19 @@ def _run_all(sc, cfg):
     delta = cfg.delta
     return {
         "wMPDR": (
-            beamform.run_conv_beamformer(mix, target, cfg=cfg, mode="wmpdr"),
+            beamform.run_conv_beamformer(mix, target, cfg=cfg),
             perbin_oracle.run_conv_beamformer(mix, target, cfg=cfg, mode="wmpdr"),
         ),
         "wLCMP": (
-            beamform.run_conv_beamformer(mix, target, others, cfg, mode="wlcmp"),
+            beamform.run_conv_beamformer(mix, target, others, cfg),
             perbin_oracle.run_conv_beamformer(mix, target, others, cfg, mode="wlcmp"),
         ),
         "MPDR": (
-            beamform.mpdr(mix, target, cfg),
+            beamform.mpdr(mix, target, cfg=cfg),
             perbin_oracle.conventional(mix, target, None, None, cfg),
         ),
         "LCMP": (
-            beamform.lcmp(mix, target, others, cfg=cfg),
+            beamform.mpdr(mix, target, others, cfg),
             perbin_oracle.conventional(mix, target, others, delta, cfg),
         ),
         "MVDR": (
@@ -81,7 +82,7 @@ def _run_all(sc, cfg):
         ),
         "LCMV": (
             beamform.mvdr_lcmv(
-                mix, sc["steering"], sc["noise_cov"], delta, sc["interferer_steering"], cfg
+                mix, sc["steering"], sc["noise_cov"], sc["interferer_steering"], cfg
             ),
             perbin_oracle.conventional(
                 mix, None, None, delta, cfg, sc["noise_cov"], sc["steering"],
@@ -141,9 +142,7 @@ def test_wlcmp_matches_oracle_inside_dc_and_nyquist(outputs):
 def test_wlcmp_without_interferers_bitwise_equals_wmpdr(oracle_scene):
     cfg = ConvBeamformerConfig(iterations=2)
     a = beamform.run_conv_beamformer(oracle_scene["mix"], oracle_scene["target"], cfg=cfg)
-    b = beamform.run_conv_beamformer(
-        oracle_scene["mix"], oracle_scene["target"], [], cfg, mode="wlcmp"
-    )
+    b = beamform.run_conv_beamformer(oracle_scene["mix"], oracle_scene["target"], [], cfg)
     np.testing.assert_array_equal(a.z, b.z)
 
 
@@ -160,9 +159,8 @@ def test_failure_leaves_chunk_neighbours_unchanged(oracle_scene, monkeypatch, ki
 
 
 def _solve_degenerate(sc, kind, cfg):
-    return beamform.run_conv_beamformer(
-        sc["mix"], sc["target"], sc["interferers"], cfg, kind.lower()
-    )
+    interferers = sc["interferers"] if kind == "wLCMP" else None
+    return beamform.run_conv_beamformer(sc["mix"], sc["target"], interferers, cfg)
 
 
 def _assert_same_output(a, b):
@@ -268,18 +266,20 @@ def _solve(sc, kind, cfg, speaker=None):
     own solve."""
     pick = slice(None) if speaker is None else speaker
     cfg = replace(cfg, reference_mic=JOINT_REFERENCE_MICS[pick])
-    mix, delta = sc["mix"], cfg.delta
+    mix = sc["mix"]
     target, others = sc["targets"][pick], sc["interferers"][pick]
     steering, interferer_steering = sc["steering"][pick], sc["interferer_steering"][pick]
-    if kind in ("wMPDR", "wLCMP"):
-        return beamform.run_conv_beamformer(mix, target, others, cfg, kind.lower())
+    if kind == "wMPDR":
+        return beamform.run_conv_beamformer(mix, target, cfg=cfg)
+    if kind == "wLCMP":
+        return beamform.run_conv_beamformer(mix, target, others, cfg)
     if kind == "MPDR":
-        return beamform.mpdr(mix, target, cfg)
+        return beamform.mpdr(mix, target, cfg=cfg)
     if kind == "LCMP":
-        return beamform.lcmp(mix, target, others, cfg=cfg)
+        return beamform.mpdr(mix, target, others, cfg)
     if kind == "MVDR":
         return beamform.mvdr_lcmv(mix, steering, sc["noise_cov"], cfg=cfg)
-    return beamform.mvdr_lcmv(mix, steering, sc["noise_cov"], delta, interferer_steering, cfg)
+    return beamform.mvdr_lcmv(mix, steering, sc["noise_cov"], interferer_steering, cfg)
 
 
 def _assert_same_bits(a, b):
@@ -317,6 +317,51 @@ def test_joint_solve_equals_separate_solves_bitwise(three_speakers, monkeypatch,
             failed.z[:, JOINT_DEGENERATE_BIN],
             three_speakers["mix"][JOINT_REFERENCE_MICS[1], :, JOINT_DEGENERATE_BIN],
         )
+
+
+LATE_FAILURE = (1, 40)  # (speaker, bin); the bin shares its 16-tap chunk
+
+
+@pytest.mark.parametrize("kind", ["wMPDR", "wLCMP"])
+def test_failure_after_the_first_round_is_contained(small_reverberant_scene, monkeypatch, kind):
+    # one pair of a joint two-speaker solve raises in round 1 of 2, once its
+    # variances are its own: the first round weights by the mixture's frame
+    # power and never goes below it, the output power of later rounds does
+    sc = small_reverberant_scene
+    mix, targets = sc["mix"], sc["masks"][:2]
+    interferers = sc["masks"][[[1], [0]]] if kind == "wLCMP" else None
+    cfg = ConvBeamformerConfig(iterations=2)
+    clean = beamform.run_conv_beamformer(mix, targets, interferers, cfg)
+    speaker, fi = LATE_FAILURE
+    mask_of_pair = targets[speaker, :, fi]
+    original = beamform._round
+
+    def failing_round(shared, per_speaker, lam, *args):
+        frame_power = (np.abs(shared["frames"]) ** 2).sum(axis=-1)
+        masks_in_grid = per_speaker["mask"].reshape(-1, mask_of_pair.size)
+        if not np.all(lam >= frame_power) and any(
+            np.array_equal(row, mask_of_pair) for row in masks_in_grid
+        ):
+            raise beamform.ConstraintRankError("injected")
+        return original(shared, per_speaker, lam, *args)
+
+    monkeypatch.setattr(beamform, "_round", failing_round)
+    out = beamform.run_conv_beamformer(mix, targets, interferers, cfg)
+    assert out.diagnostics.failed_bins == [(speaker, fi, 1, "injected")]
+    f = mix.shape[2]
+    failed = speaker * f + fi
+    assert out.states[failed].passthrough
+    np.testing.assert_array_equal(out.z[speaker, :, fi], mix[cfg.reference_mic, :, fi])
+    for i, (a, b) in enumerate(zip(out.states, clean.states)):
+        if i != failed:
+            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.derev, b.derev)
+    others = np.ones(out.z.shape[::2], dtype=bool)  # (speakers, bins)
+    others[speaker, fi] = False
+    for name in ("z", "diagnostics.objective_per_bin", "diagnostics.constraint_residual_per_bin"):
+        a, b = (operator.attrgetter(name)(result) for result in (out, clean))
+        np.testing.assert_array_equal(np.moveaxis(a, -1, 1)[others], np.moveaxis(b, -1, 1)[others])
+    assert np.isnan(out.diagnostics.constraint_residual_per_bin[speaker, fi])
 
 
 def test_chunks_fit_the_byte_budget():

@@ -8,7 +8,6 @@ from cogbeam.beamform import (
     DegenerateMaskError,
     dereverberate,
     estimate_retf,
-    lcmp,
     mpdr,
     mvdr_lcmv,
     run_conv_beamformer,
@@ -288,10 +287,8 @@ class TestRunConvBeamformer:
     def test_wlcmp_without_interferers_equals_wmpdr_bitwise(self, small_reverberant_scene):
         sc = small_reverberant_scene
         cfg = ConvBeamformerConfig(iterations=2)
-        a = run_conv_beamformer(sc["mix"], sc["masks"][0], cfg=cfg, mode="wmpdr")
-        b = run_conv_beamformer(
-            sc["mix"], sc["masks"][0], interferer_masks=None, cfg=cfg, mode="wlcmp"
-        )
+        a = run_conv_beamformer(sc["mix"], sc["masks"][0], interferer_masks=None, cfg=cfg)
+        b = run_conv_beamformer(sc["mix"], sc["masks"][0], interferer_masks=[], cfg=cfg)
         np.testing.assert_array_equal(a.z, b.z)
 
     def test_objective_non_increasing(self, small_reverberant_scene):
@@ -302,7 +299,6 @@ class TestRunConvBeamformer:
             sc["masks"][0],
             interferer_masks=sc["masks"][1:2],
             cfg=cfg,
-            mode="wlcmp",
         )
         obj = out.diagnostics.objective
         assert np.all(np.isfinite(obj))
@@ -360,7 +356,7 @@ class TestRunConvBeamformer:
             scores = {}
             for iters in (1, 10):
                 bf = ConvBeamformerConfig(iterations=iters)
-                out = run_conv_beamformer(mix, mask_set[0], cfg=bf, mode="wmpdr")
+                out = run_conv_beamformer(mix, mask_set[0], cfg=bf)
                 signal = stft.synthesize(out.z[None], cfg)[0]
                 n = min(signal.size, reference.size)
                 scores[iters] = metrics.fwssnr(signal[:n], reference[:n])
@@ -383,7 +379,7 @@ class TestRunConvBeamformer:
             reference = rendered.anechoic[0, 0]
             scores = []
             for bf in (ConvBeamformerConfig(), ConvBeamformerConfig(iterations=10)):
-                out = run_conv_beamformer(mix, mask_set[0], cfg=bf, mode="wmpdr")
+                out = run_conv_beamformer(mix, mask_set[0], cfg=bf)
                 signal = stft.synthesize(out.z[None], cfg)[0]
                 n = min(signal.size, reference.size)
                 scores.append(metrics.fwssnr(signal[:n], reference[:n]))
@@ -400,14 +396,9 @@ class TestRunConvBeamformer:
         sc = small_reverberant_scene
         targets = sc["masks"][:2]
         with pytest.raises(ValueError, match="interferer mask shape"):
-            run_conv_beamformer(sc["mix"], targets, sc["masks"][None, :1], mode="wlcmp")
+            run_conv_beamformer(sc["mix"], targets, sc["masks"][None, :1])
         with pytest.raises(ValueError, match="interferer mask shape"):
-            run_conv_beamformer(sc["mix"], targets[0], sc["masks"][1], mode="wlcmp")
-
-    def test_unknown_mode(self, small_reverberant_scene):
-        sc = small_reverberant_scene
-        with pytest.raises(ValueError, match="mode"):
-            run_conv_beamformer(sc["mix"], sc["masks"][0], mode="mpdr")
+            run_conv_beamformer(sc["mix"], targets[0], sc["masks"][1])
 
 
 class TestConventional:
@@ -433,7 +424,7 @@ class TestConventional:
 
     def test_lcmp_hard_null_zeroes_interferer_direction(self, small_reverberant_scene):
         sc = small_reverberant_scene
-        out = lcmp(sc["mix"], sc["masks"][0], sc["masks"][1:2], delta=0.0)
+        out = mpdr(sc["mix"], sc["masks"][0], sc["masks"][1:2], ConvBeamformerConfig(delta=0.0))
         for state in out.states:
             if state.passthrough or state.interferer_retfs is None:
                 continue
@@ -442,7 +433,7 @@ class TestConventional:
 
     def test_lcmp_constraint_residuals(self, small_reverberant_scene):
         sc = small_reverberant_scene
-        out = lcmp(sc["mix"], sc["masks"][0], sc["masks"][1:2], delta=0.1)
+        out = mpdr(sc["mix"], sc["masks"][0], sc["masks"][1:2], ConvBeamformerConfig(delta=0.1))
         assert out.diagnostics.max_constraint_residual <= 1e-8
 
     def test_mvdr_white_noise_matched_filter(self):
@@ -465,7 +456,7 @@ class TestConventional:
         steering = np.stack([random_vec(rng, m) for _ in range(f)])
         interferers = np.stack([random_vec(rng, m)[:, None] for _ in range(f)])
         noise_cov = np.stack([random_hpd(rng, m) for _ in range(f)])
-        out = mvdr_lcmv(spec, steering, noise_cov, delta=0.1, interferer_steering=interferers)
+        out = mvdr_lcmv(spec, steering, noise_cov, interferers, ConvBeamformerConfig(delta=0.1))
         assert out.diagnostics.max_constraint_residual <= 1e-8
         for fi in range(f):
             response = np.vdot(interferers[fi][:, 0], out.states[fi].weights)

@@ -914,3 +914,65 @@ class TestConfigTypes:
             metrics.FwssnrConfig(overlap=1.0)
         with pytest.raises(ValueError, match="frame_ms"):
             metrics.FwssnrConfig(frame_ms=0.0)
+
+    @pytest.mark.parametrize(
+        "metrics_cfg, message",
+        [
+            # each loaded; [9000, 100] gave the filterbank no nonzero weight
+            ({"band_range_hz": ["a", None]}, r"band_range_hz must be \[lo, hi\], two finite"),
+            ({"band_range_hz": [9000, 100]}, r"band_range_hz must satisfy 0 <= lo < hi"),
+            ({"band_range_hz": [50]}, r"band_range_hz must be \[lo, hi\], two finite"),
+            ({"band_range_hz": [-50, None]}, r"band_range_hz must satisfy 0 <= lo < hi"),
+            ({"band_range_hz": [50, float("inf")]}, r"band_range_hz must be \[lo, hi\]"),
+            ({"clamp_db": [-10, float("nan")]}, r"clamp_db must be \[lo, hi\], two finite"),
+            ({"clamp_db": [1, 2, 3]}, r"clamp_db must be \[lo, hi\], two finite"),
+            # raised a bare IndexError out of load_config
+            ({"clamp_db": [1]}, r"clamp_db must be \[lo, hi\], two finite"),
+            ({"clamp_db": [-10, None]}, r"clamp_db must be \[lo, hi\], two finite numbers, got"),
+            ({"clamp_db": [35, -10]}, r"clamp_db must satisfy lo < hi, got \[35, -10\]"),
+        ],
+    )
+    def test_fwssnr_pairs_refused_at_load(self, tmp_path, metrics_cfg, message):
+        path = write_config(tmp_path, metrics=metrics_cfg)
+        with pytest.raises(cli.ConfigError, match=r"section 'metrics': " + message):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize(
+        "sample_rate, band, nyquist",
+        [
+            # [9000, null] loaded, then simulate found no speech-active frames
+            (16000, [9000, None], "8000"),
+            (16000, [8000, None], "8000"),
+            (16000, [50, 8001], "8000"),
+            (8000, [50, 6000], "4000"),
+        ],
+    )
+    def test_fwssnr_band_beyond_nyquist_refused(self, tmp_path, sample_rate, band, nyquist):
+        path = write_config(tmp_path, sample_rate=sample_rate, metrics={"band_range_hz": band})
+        message = rf"^metrics\.band_range_hz .* must lie within \[0, {nyquist}\] Hz$"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+
+    def test_fwssnr_pairs_kept(self, tmp_path):
+        path = write_config(tmp_path, metrics={"band_range_hz": [0, 8000], "clamp_db": [-5, 30]})
+        cfg = cli.load_config(path)
+        assert (cfg.metrics.band_range_hz, cfg.metrics.clamp_db) == ((0, 8000), (-5, 30))
+        cfg = cli.load_config(write_config(tmp_path, metrics={"band_range_hz": [100, None]}))
+        assert cfg.metrics.band_range_hz == (100, None)
+
+    @pytest.mark.parametrize("sample_rate", [0, 1000, -16000])
+    def test_sample_rate_below_the_speech_filter_refused(self, tmp_path, sample_rate):
+        # 0 and 1000 loaded, then simulate failed designing the 500 Hz low-pass
+        # of scene.speech_shape_filter
+        path = write_config(tmp_path, sample_rate=sample_rate)
+        with pytest.raises(cli.ConfigError, match=r"^sample_rate must exceed 1000 Hz, got "):
+            cli.load_config(path)
+
+    def test_eeg_rate_above_sample_rate_refused(self, tmp_path):
+        # loaded, then decode failed with "rate_out must not exceed rate_in"
+        path = write_config(tmp_path, aad={"rate": 100000})
+        message = r"^aad\.rate 100000 must not exceed sample_rate 16000$"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+        cfg = cli.load_config(write_config(tmp_path, sample_rate=8000, aad={"rate": 8000}))
+        assert cfg.aad.rate == cfg.sample_rate

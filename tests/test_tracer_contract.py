@@ -7,6 +7,7 @@ in one entry-point call, so that one result must cover every speaker. The
 benchmark's modules are imported as they are, not changed.
 """
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import child  # noqa: E402
 import run as bench  # noqa: E402
 from tracer import BEAMFORMER_ENTRY_POINTS, Tracer  # noqa: E402
 
-from cogbeam import cli  # noqa: E402
+from cogbeam import beamform, cli  # noqa: E402
 
 
 def _config(tmp_path, kind, n_speakers):
@@ -33,7 +34,18 @@ def _config(tmp_path, kind, n_speakers):
     return path
 
 
-@pytest.mark.parametrize("kind, n_speakers", [("wLCMP", 2), ("MPDR", 3), ("LCMV", 3)])
+def test_every_beamformer_type_calls_a_traced_entry_point():
+    # a row naming a function the tracer does not hook would leave
+    # beamform.bins_solved out of its traced runs
+    for kind, (entry, _, _) in cli._BEAMFORMERS.items():
+        assert entry in beamform.__all__, kind
+        assert inspect.isfunction(getattr(beamform, entry)), kind
+        assert entry in BEAMFORMER_ENTRY_POINTS, kind
+
+
+@pytest.mark.parametrize(
+    "kind, n_speakers", [("wLCMP", 2), ("MPDR", 3), ("LCMP", 3), ("LCMV", 3)]
+)
 def test_traced_enhance_counts_bins_of_every_speaker(tmp_path, kind, n_speakers):
     cfg = _config(tmp_path, kind, n_speakers)
     common = ["--config", str(cfg), "--seed", "9"]
