@@ -231,6 +231,12 @@ def _delayed(x, delay):
     return out
 
 
+# synthetic EEG: the longest delay of an envelope copy, inside the decoder's
+# default lag span, and the unattended copy's gain relative to the attended
+_MAX_LAG_MS = 200.0
+_LEAKAGE = 0.3
+
+
 def synthesize_eeg(
     attended,
     unattended,
@@ -239,8 +245,6 @@ def synthesize_eeg(
     mixing_seed,
     noise_seed=None,
     rate=64,
-    max_lag_ms=200.0,
-    leakage=0.3,
 ):
     """Seeded stand-in for recorded EEG.
 
@@ -271,15 +275,10 @@ def synthesize_eeg(
         mixing_seed,
         [noise_seed],
         rate,
-        max_lag_ms,
-        leakage,
     )[0]
 
 
-def _synthesize_trials(
-    attended, unattended, n_channels, snr_db, mixing_seed, noise_seeds, rate,
-    max_lag_ms=200.0, leakage=0.3,
-):
+def _synthesize_trials(attended, unattended, n_channels, snr_db, mixing_seed, noise_seeds, rate):
     """EEG ``(trials, channels, samples)`` for ``(trials, samples)`` attended
     and unattended envelopes; trial ``t`` draws its noise from
     ``noise_seeds[t]`` (None: a seed derived from the mixing stream).
@@ -293,7 +292,7 @@ def _synthesize_trials(
     n_trials, n = attended.shape
     mix_rng = np.random.default_rng(mixing_seed)
     derived_noise_seed = mix_rng.integers(2**63)  # keep the mixing stream
-    max_lag = max(1, int(round(max_lag_ms * 1e-3 * rate)))
+    max_lag = max(1, int(round(_MAX_LAG_MS * 1e-3 * rate)))
 
     # volume conduction: half the background power is shared across channels
     # through a per-listener coupling, so channel averaging cannot integrate
@@ -304,7 +303,7 @@ def _synthesize_trials(
     mixing = []  # per channel: attended gain and delay, unattended gain and delay
     for _ in range(n_channels):
         gain_a = mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
-        gain_u = leakage * mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
+        gain_u = _LEAKAGE * mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
         delay_a = int(mix_rng.integers(0, max_lag + 1))
         delay_u = int(mix_rng.integers(0, max_lag + 1))
         mixing.append((gain_a, delay_a, gain_u, delay_u))

@@ -227,6 +227,19 @@ def load_config(path):
         raise ConfigError(f"metrics.band_range_hz {[lo, hi]} must lie within [0, {nyquist:g}] Hz")
     if cfg.aad.rate > cfg.sample_rate:  # envelopes are resampled down to it
         raise ConfigError(f"aad.rate {cfg.aad.rate} must not exceed sample_rate {cfg.sample_rate}")
+    # the scene is analyzed in STFT frames and scored in fwSSNR frames, and
+    # each trial is scored in fwSSNR frames
+    fw_frame = round(cfg.metrics.frame_ms * 1e-3 * cfg.sample_rate)
+    for key, seconds, frame, frame_name in [
+        ("scene.duration_s", cfg.scene.duration_s, cfg.stft.frame_length, "stft.frame_length"),
+        ("scene.duration_s", cfg.scene.duration_s, fw_frame, "metrics.frame_ms"),
+        ("aad.trial_seconds", cfg.aad.trial_seconds, fw_frame, "metrics.frame_ms"),
+    ]:
+        if seconds * cfg.sample_rate < frame:
+            raise ConfigError(
+                f"{key} {seconds:g} gives {seconds * cfg.sample_rate:g} samples at sample_rate "
+                f"{cfg.sample_rate}, shorter than the {frame}-sample frame of {frame_name}"
+            )
     if cfg.beamformer_type not in BEAMFORMER_TYPES:
         raise ConfigError(
             f"beamformer_type must be one of {BEAMFORMER_TYPES}, "
@@ -302,16 +315,21 @@ def write_wav(path, signal, sample_rate):
 
 
 def read_wav(path):
-    """Read WAV as (M, N) float64 in [-1, 1]; 16-bit input is rescaled."""
+    """Read WAV as (M, N) float64; integer PCM is rescaled to [-1, 1): 8-bit
+    (unsigned, silence at 128), 16-bit and 24- or 32-bit (read as int32)."""
     rate, data = scipy.io.wavfile.read(path)
     if data.ndim == 1:
         data = data[:, None]
-    if data.dtype == np.int16:
+    if data.dtype == np.uint8:
+        data = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
         data = data.astype(np.float64) / 2147483648.0
-    else:
+    elif data.dtype.kind == "f":
         data = data.astype(np.float64)
+    else:
+        raise ValueError(f"{path}: cannot scale {data.dtype} WAV samples to [-1, 1]")
     return data.T, rate
 
 
@@ -368,17 +386,15 @@ def cmd_simulate(cfg, out_dir):
     )
     acoustic = scene.AcousticScene(sources, irs, anech, noise, fs)
     ref_mics = _speaker_reference_mics(anech)
-    unit = scene.render(acoustic, 1.0)
+    unit = scene.render(acoustic)
     if target is None:
         gain = sc.noise_gain
         per_speaker = None
     else:
         # the calibration's own scores at its gain: the input fwSSNR of the
         # calibrated scene up to rounding, with no framing of its signals
-        objective = scene._input_fwssnr_of_gain(
-            unit, range(sc.n_speakers), cfg.metrics, ref_mics
-        )
-        gain = scene.calibrate_noise_gain(unit, target, objective=objective)
+        objective = scene._input_fwssnr_of_gain(unit, cfg.metrics, ref_mics)
+        gain = scene.calibrate_noise_gain(objective, target)
         per_speaker = objective.per_speaker(gain)
         del objective
     rendered = scene.with_noise_gain(unit, gain)

@@ -3,7 +3,7 @@
 A mask set is a real array of shape (I + 1, K, F) in [0, 1]: one plane per
 speaker followed by one noise plane. Separately estimated per-microphone
 mask sets carry a source-permutation ambiguity; ``align_masks`` resolves it
-against a reference microphone, as an assignment of planes with no cap on
+against the first microphone, as an assignment of planes with no cap on
 the number of sources, before ``average_masks`` pools them. ``load_masks``
 reads a mask file of either form: one set (I + 1, K, F), or one set per
 microphone (M, I + 1, K, F), which it aligns and pools.
@@ -14,14 +14,15 @@ import warnings
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .tensorfile import read_tensor, write_tensor
+# write_tensor is not called here: perfbench/test_tracer.py checks that the
+# tracer rebinds this module's name for it
+from .tensorfile import read_tensor, write_tensor  # noqa: F401
 
 __all__ = [
     "oracle_irm",
     "align_masks",
     "average_masks",
     "load_masks",
-    "store_masks",
 ]
 
 
@@ -58,8 +59,8 @@ def _permutation_cost(reference, candidate):
     return cost
 
 
-def align_masks(per_mic_masks, reference_mic=0):
-    """Reorder every microphone's source planes to match the reference mic.
+def align_masks(per_mic_masks):
+    """Reorder every microphone's source planes to match the first one's.
 
     The best ordering minimizes the total squared mask difference against the
     reference. The noise plane takes part. The total is a sum of
@@ -70,12 +71,9 @@ def align_masks(per_mic_masks, reference_mic=0):
     shapes = {m.shape for m in per_mic_masks}
     if len(shapes) != 1:
         raise ValueError(f"mask shapes disagree across mics: {shapes}")
-    reference = per_mic_masks[reference_mic]
-    aligned = []
-    for m, masks in enumerate(per_mic_masks):
-        if m == reference_mic:
-            aligned.append(masks.copy())
-            continue
+    reference = per_mic_masks[0]
+    aligned = [reference.copy()]
+    for masks in per_mic_masks[1:]:
         _, best = linear_sum_assignment(_permutation_cost(reference, masks))
         aligned.append(masks[best])
     return aligned
@@ -87,10 +85,6 @@ def average_masks(aligned):
         raise ValueError("no mask sets to average")
     stack = np.stack([np.asarray(m, dtype=float) for m in aligned])
     return stack.mean(axis=0)
-
-
-def store_masks(mask_set, path):
-    write_tensor(path, np.asarray(mask_set, dtype=np.float64))
 
 
 def load_masks(path):
@@ -110,5 +104,5 @@ def load_masks(path):
         )
         np.clip(masks, 0.0, 1.0, out=masks)
     if masks.ndim == 4:
-        masks = average_masks(align_masks(masks, 0))
+        masks = average_masks(align_masks(masks))
     return masks

@@ -238,22 +238,24 @@ def aad_accuracy(outcomes):
     return 100.0 * sum(correct) / len(correct)
 
 
-def chance_upper_bound(n_trials, alpha=0.05):
+# significance level of the chance bound
+_CHANCE_ALPHA = 0.05
+
+
+def chance_upper_bound(n_trials):
     """Chance-level upper bound in percent from an exact binomial tail.
 
-    Smallest ``k/n`` such that ``P(X >= k | n, p=0.5) <= alpha``; if even
+    Smallest ``k/n`` such that ``P(X >= k | n, p=0.5) <= 0.05``; if even
     ``k = n`` does not reach significance the bound is 100%.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     total = 1 << n_trials
     tail = 0
     # Walk k downward accumulating the exact integer tail sum.
     for k in range(n_trials, -1, -1):
         tail += math.comb(n_trials, k)
-        if Fraction(tail, total) > alpha:
+        if Fraction(tail, total) > _CHANCE_ALPHA:
             k_min = k + 1
             break
     else:

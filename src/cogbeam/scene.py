@@ -88,11 +88,17 @@ def _frame_rms(signal, frame):
     return np.sqrt((trimmed**2).mean(axis=1))
 
 
-def shorten_pauses(signal, max_pause, sample_rate=16000, frame_ms=20.0, threshold_db=40.0):
+# shorten_pauses: RMS frame length, and how far below the 95th-percentile
+# frame RMS a frame counts as silent
+_PAUSE_FRAME_MS = 20.0
+_PAUSE_THRESHOLD_DB = 40.0
+
+
+def shorten_pauses(signal, max_pause, sample_rate=16000):
     """Truncate silent stretches longer than ``max_pause`` seconds.
 
-    Silence is detected from 20 ms RMS frames more than ``threshold_db``
-    below the 95th-percentile frame RMS. Retained silence around each cut
+    Silence is detected from 20 ms RMS frames more than 40 dB below the
+    95th-percentile frame RMS. Retained silence around each cut
     gets a 10 ms cosine taper so no click survives at the joint. Speech
     frames are passed through untouched, which also makes the operation
     idempotent.
@@ -103,11 +109,11 @@ def shorten_pauses(signal, max_pause, sample_rate=16000, frame_ms=20.0, threshol
     if signal.size == 0:
         return signal.copy()
 
-    frame = max(1, int(round(frame_ms * 1e-3 * sample_rate)))
+    frame = max(1, int(round(_PAUSE_FRAME_MS * 1e-3 * sample_rate)))
     rms = _frame_rms(signal, frame)
     if rms.size == 0:
         return signal.copy()
-    threshold = np.percentile(rms, 95) * 10.0 ** (-threshold_db / 20.0)
+    threshold = np.percentile(rms, 95) * 10.0 ** (-_PAUSE_THRESHOLD_DB / 20.0)
     silent = rms <= threshold
 
     max_samples = int(round(max_pause * sample_rate))
@@ -137,11 +143,13 @@ def shorten_pauses(signal, max_pause, sample_rate=16000, frame_ms=20.0, threshol
     return out[keep]
 
 
-def render(scene, noise_gain=1.0):
-    """Convolve sources with their impulse responses and add scaled noise.
+def render(scene):
+    """Convolve sources with their impulse responses and add the noise.
 
     Full convolutions are trimmed to the longest common length across all
-    components and the noise channel count must match the IR grid.
+    components and the noise channel count must match the IR grid. The
+    noise enters at gain 1, as a view of the scene's noise;
+    ``with_noise_gain`` scales it.
     """
     n_src, n_mic = scene.n_sources, scene.n_mics
     shortest = min(len(scene.sources[i]) for i in range(n_src))
@@ -174,7 +182,7 @@ def render(scene, noise_gain=1.0):
         components[i] = scipy.signal.fftconvolve(src, scene.irs[i], axes=-1)[:, :n]
         anechoic[i] = scipy.signal.fftconvolve(src, scene.anechoic_irs[i], axes=-1)[:, :n]
     if scene.noise is not None:
-        noise_part = noise_gain * noise[:, :n]
+        noise_part = noise[:, :n]
     else:
         noise_part = np.zeros((n_mic, n))
     mics = components.sum(axis=0) + noise_part
@@ -182,8 +190,8 @@ def render(scene, noise_gain=1.0):
 
 
 def with_noise_gain(unit, gain):
-    """The scene ``unit`` (rendered at noise gain 1) with its noise scaled by
-    ``gain``: the same bits as rendering its acoustic scene at ``gain``."""
+    """The rendered scene ``unit`` with its noise scaled by ``gain``: the same
+    bits as rendering its acoustic scene with the noise scaled by ``gain``."""
     noise = gain * unit.noise
     return RenderedScene(
         unit.components.sum(axis=0) + noise,
@@ -194,71 +202,56 @@ def with_noise_gain(unit, gain):
     )
 
 
-def calibrate_noise_gain(
-    unit,
-    target_fwssnr,
-    reference_source=None,
-    cfg=None,
-    tolerance_db=0.1,
-    gain_bounds=(1e-6, 1e6),
-    max_iter=80,
-    reference_mics=None,
-    objective=None,
-):
-    """Bisection on the noise gain until the scene's input fwSSNR hits target.
+# calibrate_noise_gain: the gain bracket it bisects, how close to the target
+# it stops, and how many bisection steps it takes at most
+_GAIN_BOUNDS = (1e-6, 1e6)
+_TOLERANCE_DB = 0.1
+_MAX_STEPS = 80
 
-    ``unit`` is the scene rendered at noise gain 1 (``render(scene, 1.0)``);
-    ``with_noise_gain(unit, gain)`` then gives the calibrated scene without
-    rendering again. ``reference_source`` selects which speaker's input
-    fwSSNR is matched; None averages over all speakers. ``reference_mics``
-    optionally gives each speaker its own reference microphone (default:
-    microphone 0). ``objective`` is the ``_input_fwssnr_of_gain`` of these
-    arguments when the caller has built it, to read its per-speaker scores
-    at the returned gain; otherwise it is built here. Raises
-    CalibrationError when the target lies outside what the gain bounds can
-    reach.
+
+def calibrate_noise_gain(objective, target_fwssnr):
+    """Bisect the noise gain in the log domain until ``objective(gain)`` lies
+    within ``_TOLERANCE_DB`` of ``target_fwssnr``.
+
+    ``objective`` falls as the gain rises, as the input fwSSNR of
+    ``_input_fwssnr_of_gain`` does; ``with_noise_gain(unit, gain)`` then
+    gives the calibrated scene without rendering again. Raises
+    CalibrationError when the target lies outside what the gains in
+    ``_GAIN_BOUNDS`` reach, or when no gain is close enough after
+    ``_MAX_STEPS`` steps.
     """
-    if not np.any(unit.noise):
-        raise ValueError("scene has no noise to calibrate")
-    if objective is None:
-        cfg = cfg or metrics.FwssnrConfig()
-        n_sources = unit.components.shape[0]
-        if reference_mics is None:
-            reference_mics = [0] * n_sources
-        speakers = range(n_sources) if reference_source is None else [reference_source]
-        objective = _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics)
-
-    lo, hi = gain_bounds
+    lo, hi = _GAIN_BOUNDS
     val_lo = objective(lo)  # quietest noise -> highest fwSSNR
-    if val_lo < target_fwssnr - tolerance_db:
+    if val_lo < target_fwssnr - _TOLERANCE_DB:
         raise CalibrationError(
             f"target {target_fwssnr:.2f} dB above reach: {val_lo:.2f} dB at gain {lo:g}"
         )
-    if abs(val_lo - target_fwssnr) <= tolerance_db:
+    if abs(val_lo - target_fwssnr) <= _TOLERANCE_DB:
         return lo
     val_hi = objective(hi)
-    if val_hi > target_fwssnr + tolerance_db:
+    if val_hi > target_fwssnr + _TOLERANCE_DB:
         raise CalibrationError(
             f"target {target_fwssnr:.2f} dB below reach: {val_hi:.2f} dB at gain {hi:g}"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         mid = np.sqrt(lo * hi)  # bisect in log domain
         val = objective(mid)
-        if abs(val - target_fwssnr) <= tolerance_db:
+        if abs(val - target_fwssnr) <= _TOLERANCE_DB:
             return float(mid)
         if val > target_fwssnr:
             lo = mid
         else:
             hi = mid
     raise CalibrationError(
-        f"no gain within {tolerance_db} dB of {target_fwssnr} dB after {max_iter} steps"
+        f"no gain within {_TOLERANCE_DB} dB of {target_fwssnr} dB after {_MAX_STEPS} steps"
     )
 
 
-def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
-    """The calibration objective: the mean over ``speakers`` of their input
-    fwSSNR, as a function of the noise gain applied to ``unit``. Its
-    ``per_speaker(gain)`` gives the scores it averages, in ``speakers`` order.
+def _input_fwssnr_of_gain(unit, cfg, reference_mics):
+    """The calibration objective: the mean over the speakers of their input
+    fwSSNR, as a function of the noise gain applied to ``unit``, with speaker
+    ``i`` referenced at microphone ``reference_mics[i]``. Its
+    ``per_speaker(gain)`` gives the scores it averages, in speaker order.
 
     The residual at microphone ``m`` against speaker ``i``'s reference is
     linear in the gain, ``(speech[m] - ref_i) + gain * noise[m]``, so its band
@@ -272,29 +265,29 @@ def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
     the whole signal with the bits of one framing of it. No whole-signal
     speech sum, spectrum, power or cross term is built.
     """
-    refs = {
-        i: metrics.FwssnrReference(unit.anechoic[i, reference_mics[i]], cfg, unit.sample_rate)
-        for i in speakers
-    }
-    framing = refs[speakers[0]]  # every reference frames and bands alike
+    if not np.any(unit.noise):
+        raise ValueError("scene has no noise to calibrate")
+    refs = [
+        metrics.FwssnrReference(unit.anechoic[i, reference_mics[i]], cfg, unit.sample_rate)
+        for i in range(unit.components.shape[0])
+    ]
+    framing = refs[0]  # every reference frames and bands alike
     n_mics, n_samples = unit.noise.shape
     blocks = framing.frame_blocks(n_samples)
     shape = framing.ref_band.shape
     # terms[i][m] = (P_ss, P_sn, P_nn) of speaker i at microphone m; the
     # noise term is shared by the speakers
     p_nn = [np.empty(shape) for _ in range(n_mics)]
-    terms = {
-        i: [(np.empty(shape), np.empty(shape), p_nn[m]) for m in range(n_mics)] for i in speakers
-    }
+    terms = [[(np.empty(shape), np.empty(shape), p_nn[m]) for m in range(n_mics)] for _ in refs]
     for m, noise in enumerate(unit.noise):
         for lo, hi, samples in blocks:
             noise_spec = framing.spectra(noise[samples])
             p_nn[m][lo:hi] = framing.bands(_power(noise_spec))
             speech = unit.components[:, m, samples].sum(axis=0)
-            for i in speakers:
-                speech_spec = framing.spectra(speech - refs[i].reference[samples])
+            for ref, speaker_terms in zip(refs, terms):
+                speech_spec = framing.spectra(speech - ref.reference[samples])
                 cross = speech_spec.real * noise_spec.real + speech_spec.imag * noise_spec.imag
-                p_ss, p_sn, _ = terms[i][m]
+                p_ss, p_sn, _ = speaker_terms[m]
                 p_ss[lo:hi] = framing.bands(_power(speech_spec))
                 p_sn[lo:hi] = framing.bands(cross)
 
@@ -304,12 +297,10 @@ def _input_fwssnr_of_gain(unit, speakers, cfg, reference_mics):
         # residual (upper clamp), not as NaN (lower clamp)
         return [
             max(
-                refs[i].score_band_power(
-                    np.maximum(p_ss + 2.0 * gain * p_sn + gain**2 * p_nn, 0.0)
-                )
-                for p_ss, p_sn, p_nn in terms[i]
+                ref.score_band_power(np.maximum(p_ss + 2.0 * gain * p_sn + gain**2 * p_nn, 0.0))
+                for p_ss, p_sn, p_nn in speaker_terms
             )
-            for i in speakers
+            for ref, speaker_terms in zip(refs, terms)
         ]
 
     def achieved(gain):
@@ -352,6 +343,15 @@ def speech_shape_filter(sample_rate=16000):
     return scipy.signal.butter(1, 500.0, fs=sample_rate)
 
 
+# synthetic_room_irs: discrete images per source in the reverberant tail
+_N_REFLECTIONS = 96
+# The angular diversity of those images: 1 gives each image its own
+# inter-microphone signature, 0 would make every image share the direct
+# path's signature (corridor-like propagation, a spatially rank-one source
+# image).
+_REFLECTION_SPREAD = 1.0
+
+
 def synthetic_room_irs(
     n_sources,
     n_mics,
@@ -361,8 +361,6 @@ def synthetic_room_irs(
     max_delay_ms=2.0,
     early_gap_ms=8.0,
     shadow_db=8.0,
-    n_reflections=96,
-    reflection_spread=1.0,
     seed=0,
 ):
     """Synthetic impulse responses: direct path plus specular reflection train.
@@ -373,18 +371,16 @@ def synthetic_room_irs(
     ``shadow_db`` at the far end, mimicking the head-shadow level differences
     that make one microphone favor each speaker.
 
-    Reverberation is a train of ``n_reflections`` discrete images per source,
-    starting ``early_gap_ms`` after the direct path, with amplitudes drawn
-    under an exponential envelope that reaches -60 dB at ``t60`` seconds and
-    total energy ``direct_to_reverb_db`` below the direct path. Every image
+    Reverberation is a train of 96 discrete images per source, starting
+    ``early_gap_ms`` after the direct path, with amplitudes drawn under an
+    exponential envelope that reaches -60 dB at ``t60`` seconds and total
+    energy ``direct_to_reverb_db`` below the direct path. Every image
     is shared across microphones up to a per-microphone arrival jitter and
     gain, the way real room reflections arrive coherently at a compact
     array; fully independent per-microphone tails would make the late field
-    spatially white, which no array processing could touch.
-    ``reflection_spread`` scales the angular diversity of the images: 1 gives
-    each image its own inter-microphone signature, 0 makes every image share
-    the direct path's signature (corridor-like propagation, a spatially
-    rank-one source image). ``t60 = 0`` produces anechoic responses.
+    spatially white, which no array processing could touch. Each image has
+    its own inter-microphone signature. ``t60 = 0`` produces anechoic
+    responses.
 
     Returns ``(irs, anechoic_irs)`` of shapes (I, M, L) and (I, M, La).
     """
@@ -411,21 +407,20 @@ def synthetic_room_irs(
     tail_len = int(round(t60 * sample_rate))
     l_ir = la + gap + tail_len + max_delay
     irs = np.zeros((n_sources, n_mics, l_ir))
-    spread = float(np.clip(reflection_spread, 0.0, 1.0))
     for i in range(n_sources):
         # image arrival times and amplitudes are per source, shared by mics
-        offsets = np.sort(rng.uniform(0.0, t60, n_reflections))
-        amps = rng.standard_normal(n_reflections) * np.exp(
+        offsets = np.sort(rng.uniform(0.0, t60, _N_REFLECTIONS))
+        amps = rng.standard_normal(_N_REFLECTIONS) * np.exp(
             -3.0 * np.log(10.0) * offsets / t60
         )
-        jitter = rng.integers(0, max_delay + 1, size=(n_reflections, n_mics))
-        img_gain = 1.0 - spread * rng.uniform(0.0, 0.3, size=(n_reflections, n_mics))
+        jitter = rng.integers(0, max_delay + 1, size=(_N_REFLECTIONS, n_mics))
+        img_gain = 1.0 - _REFLECTION_SPREAD * rng.uniform(0.0, 0.3, size=(_N_REFLECTIONS, n_mics))
         taps = gap + (offsets * sample_rate).astype(int)
         for m in range(n_mics):
             tail = np.zeros(l_ir)
             base = delays[i, m]
-            for r in range(n_reflections):
-                pos = base + taps[r] + int(round(spread * jitter[r, m]))
+            for r in range(_N_REFLECTIONS):
+                pos = base + taps[r] + int(round(_REFLECTION_SPREAD * jitter[r, m]))
                 tail[pos] += amps[r] * img_gain[r, m] * (gains[i, m] / shadow[i, m])
             direct_energy = gains[i, m] ** 2
             target = direct_energy * 10.0 ** (-direct_to_reverb_db / 10.0)

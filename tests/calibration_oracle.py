@@ -96,7 +96,7 @@ def calibrate_noise_gain(
     """Returns ``(gain, achieved fwSSNR at that gain)``."""
     if reference_mics is None:
         reference_mics = [0] * scene.n_sources
-    unit = render(scene, 1.0)
+    unit = render(scene)
 
     def achieved(gain):
         return achieved_fwssnr(unit, gain, reference_source, cfg, reference_mics)

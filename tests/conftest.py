@@ -27,7 +27,7 @@ def build_scene(
     length = int(duration * FS) + irs.shape[2]
     noise = scene.generate_decorrelated_noise(n_mics, length, "speech", FS, seed + 7)
     acoustic = scene.AcousticScene(sources, irs, anech, noise, FS)
-    rendered = scene.render(acoustic, noise_gain)
+    rendered = scene.with_noise_gain(scene.render(acoustic), noise_gain)
     return acoustic, rendered
 
 

@@ -27,18 +27,18 @@ def smooth_envelope(rng, n, rate=EEG_RATE):
 
 
 def reference_synthesize_eeg(
-    attended, unattended, n_channels, snr_db, mixing_seed, noise_seed=None, rate=64,
-    max_lag_ms=200.0, leakage=0.3,
+    attended, unattended, n_channels, snr_db, mixing_seed, noise_seed=None, rate=64
 ):
     """The synthesis as a per-channel loop that filters each noise row on its
-    own: the bit-exact reference for the one-pass synthesis."""
+    own: the bit-exact reference for the one-pass synthesis, with envelope
+    copies delayed by up to 200 ms and the unattended one at 0.3 gain."""
     mix_rng = np.random.default_rng(mixing_seed)
     derived_noise_seed = mix_rng.integers(2**63)
     noise_rng = np.random.default_rng(
         noise_seed if noise_seed is not None else derived_noise_seed
     )
     n = attended.size
-    max_lag = max(1, int(round(max_lag_ms * 1e-3 * rate)))
+    max_lag = max(1, int(round(200.0 * 1e-3 * rate)))
     sos = scipy.signal.butter(2, min(10.0, 0.4 * rate / 2), fs=rate, output="sos")
     coupling = mix_rng.standard_normal((n_channels, 3))
     coupling /= np.linalg.norm(coupling, axis=1, keepdims=True)
@@ -53,7 +53,7 @@ def reference_synthesize_eeg(
     eeg = np.empty((n_channels, n))
     for c in range(n_channels):
         gain_a = mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
-        gain_u = leakage * mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
+        gain_u = 0.3 * mix_rng.uniform(0.5, 1.0) * mix_rng.choice((-1.0, 1.0))
         comp = gain_a * delayed(attended, int(mix_rng.integers(0, max_lag + 1)))
         comp += gain_u * delayed(unattended, int(mix_rng.integers(0, max_lag + 1)))
         own = scipy.signal.sosfiltfilt(sos, noise_rng.standard_normal(n))

@@ -68,7 +68,7 @@ def build_trend_scene(seed, duration):
     n = int(duration * FS) + irs.shape[2]
     noise = scene.generate_decorrelated_noise(4, n, "speech", FS, (seed, 4))
     acoustic = scene.AcousticScene(sources, irs, anech, noise, FS)
-    rendered = scene.render(acoustic, 0.005)
+    rendered = scene.with_noise_gain(scene.render(acoustic), 0.005)
     cfg = stft.StftConfig()
     mix = stft.analyze(rendered.mics, cfg)
     comps = [stft.analyze(rendered.components[i], cfg) for i in range(2)]
@@ -312,8 +312,8 @@ def test_criterion_8_iteration_stability():
         )
         n = int(6.0 * FS) + irs.shape[2]
         noise = scene.generate_decorrelated_noise(4, n, "speech", FS, (80, 4))
-        rendered = scene.render(
-            scene.AcousticScene(sources, irs, anech, noise, FS), noise_gains[name]
+        rendered = scene.with_noise_gain(
+            scene.render(scene.AcousticScene(sources, irs, anech, noise, FS)), noise_gains[name]
         )
         cfg = stft.StftConfig()
         mix = stft.analyze(rendered.mics, cfg)

@@ -229,7 +229,9 @@ def three_speakers():
     sources = [scene.synthetic_speech(1.0, fs, seed=50 + i) for i in range(3)]
     irs, anech = scene.synthetic_room_irs(3, 3, fs, t60=0.3, seed=51)
     noise = scene.generate_decorrelated_noise(3, fs + irs.shape[2], "speech", fs, 52)
-    rendered = scene.render(scene.AcousticScene(sources, irs, anech, noise, fs), 0.05)
+    rendered = scene.with_noise_gain(
+        scene.render(scene.AcousticScene(sources, irs, anech, noise, fs)), 0.05
+    )
     cfg = stft.StftConfig(frame_length=256, hop=64)
     mix = stft.analyze(rendered.mics, cfg)
     mix[:, :, JOINT_ZERO_BIN] = 0.0

@@ -1,8 +1,13 @@
 """Band-power noise-gain calibration and the precomputed fwSSNR reference,
-checked against the frozen full-fwSSNR bisection in ``calibration_oracle``."""
+checked against the frozen full-fwSSNR bisection in ``calibration_oracle``,
+and the bisection itself on synthetic objectives."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import calibration_oracle as oracle
 from cogbeam import metrics, scene
@@ -28,7 +33,8 @@ def make_scene(n_sources=2, n_mics=3, t60=0.3, duration=2.0, seed=0):
 
 
 CASES = {
-    # name: (scene kwargs, calibration kwargs, targets in dB within reach)
+    # name: (scene kwargs, objective kwargs, targets in dB within reach); a
+    # reference source calibrates that speaker's score alone
     "mean-over-speakers": ({"seed": 1}, {"reference_source": None}, (-3.0, -6.0)),
     "speaker-0": ({"seed": 2}, {"reference_source": 0}, (0.5, 3.5)),
     "per-speaker-mics": (
@@ -50,12 +56,17 @@ CASES = {
 }
 
 
+def every_speaker_objective(unit, cal_kw):
+    mics = cal_kw.get("reference_mics") or [0] * unit.components.shape[0]
+    return scene._input_fwssnr_of_gain(unit, CFG, mics), mics
+
+
 def objective_of(unit, cal_kw):
-    n_sources = unit.components.shape[0]
+    objective, _ = every_speaker_objective(unit, cal_kw)
     source = cal_kw["reference_source"]
-    speakers = range(n_sources) if source is None else [source]
-    mics = cal_kw.get("reference_mics") or [0] * n_sources
-    return scene._input_fwssnr_of_gain(unit, speakers, CFG, mics), mics
+    if source is None:
+        return objective
+    return lambda gain: objective.per_speaker(gain)[source]
 
 
 class TestAgainstFrozenBisection:
@@ -66,35 +77,43 @@ class TestAgainstFrozenBisection:
         scene_kw, cal_kw, _ = CASES[case]
         sc = make_scene(**scene_kw)
         want_gain, want_db = oracle.calibrate_noise_gain(sc, target, CFG, **cal_kw)
-        unit = render(sc, 1.0)
-        gain = calibrate_noise_gain(unit, target, cfg=CFG, **cal_kw)
+        objective = objective_of(render(sc), cal_kw)
+        gain = calibrate_noise_gain(objective, target)
         assert gain == want_gain
-        objective, _ = objective_of(unit, cal_kw)
         assert objective(gain) == pytest.approx(want_db, abs=1e-9)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_objective_matches_over_the_gain_range(self, case):
         scene_kw, cal_kw, _ = CASES[case]
-        unit = render(make_scene(**scene_kw), 1.0)
-        objective, mics = objective_of(unit, cal_kw)
+        unit = render(make_scene(**scene_kw))
+        objective, mics = every_speaker_objective(unit, cal_kw)
         for gain in np.geomspace(1e-6, 1e6, 13):
-            want = oracle.achieved_fwssnr(unit, gain, cal_kw["reference_source"], CFG, mics)
+            want = oracle.achieved_fwssnr(unit, gain, None, CFG, mics)
             assert objective(gain) == pytest.approx(want, abs=1e-9)
+            scores = objective.per_speaker(gain)
+            assert objective(gain) == float(np.mean(scores))
+            for i, score in enumerate(scores):
+                want = oracle.achieved_fwssnr(unit, gain, i, CFG, mics)
+                assert score == pytest.approx(want, abs=1e-9)
 
-    def test_unreachable_targets_raise(self):
-        unit = render(make_scene(seed=7), 1.0)
+    def test_unreachable_targets_raise(self, monkeypatch):
+        unit = render(make_scene(seed=7))
+        objective = objective_of(unit, {"reference_source": None})
         with pytest.raises(CalibrationError, match="above reach"):
-            calibrate_noise_gain(unit, 80.0, gain_bounds=(1e-3, 1e3))
+            calibrate_noise_gain(objective, 80.0)
         with pytest.raises(CalibrationError, match="below reach"):
-            calibrate_noise_gain(unit, -80.0, gain_bounds=(1e-3, 1e3))
+            calibrate_noise_gain(objective, -80.0)
+        monkeypatch.setattr(scene, "_TOLERANCE_DB", 1e-12)
+        monkeypatch.setattr(scene, "_MAX_STEPS", 2)
+        speaker_0 = objective_of(unit, {"reference_source": 0})
         with pytest.raises(CalibrationError, match="after 2 steps"):
-            calibrate_noise_gain(unit, 2.0, 0, tolerance_db=1e-12, max_iter=2)
+            calibrate_noise_gain(speaker_0, 2.0)
 
     def test_silent_noise_rejected(self):
         sc = make_scene(seed=8)
         sc.noise = None
         with pytest.raises(ValueError, match="no noise"):
-            calibrate_noise_gain(render(sc, 1.0), 0.5)
+            scene._input_fwssnr_of_gain(render(sc), CFG, [0, 0])
 
     @pytest.mark.parametrize("gain", [1.0, 3.0, 0.7])
     def test_cancelling_residual_scores_upper_clamp(self, gain):
@@ -102,15 +121,76 @@ class TestAgainstFrozenBisection:
         # gain the residual cancels (exactly at gain 1, up to one rounding
         # otherwise), and its expanded band power is a sum of large terms
         # that can cancel to just below zero
-        unit = render(make_scene(seed=9, n_mics=2), 1.0)
+        unit = render(make_scene(seed=9, n_mics=2))
         residual = unit.components.sum(axis=0) - unit.anechoic[0, 0]
         cancelling = scene.RenderedScene(
             unit.mics, unit.components, unit.anechoic, -residual / gain, unit.sample_rate
         )
-        objective = scene._input_fwssnr_of_gain(cancelling, [0], CFG, [0, 0])
-        assert objective(gain) == CFG.clamp_db[1]
+        objective = scene._input_fwssnr_of_gain(cancelling, CFG, [0, 0])
+        assert objective.per_speaker(gain)[0] == CFG.clamp_db[1]
         assert oracle.achieved_fwssnr(cancelling, gain, 0, CFG, [0, 0]) == CFG.clamp_db[1]
-        assert objective(0.5 * gain) < CFG.clamp_db[1]
+        assert objective.per_speaker(0.5 * gain)[0] < CFG.clamp_db[1]
+
+
+@st.composite
+def monotone_objectives(draw):
+    """``(objective, continuous)``: a non-increasing function of the gain, a
+    log-linear slope clipped to [floor, ceiling] like the fwSSNR clamps,
+    which drops by ``jump`` dB at a drawn gain (continuous when it is 0)."""
+    slope = draw(st.floats(0.0, 50.0))  # dB per decade of gain
+    centre = draw(st.floats(-8.0, 8.0))  # log10 of the gain where the slope reads 0 dB
+    floor = draw(st.floats(-60.0, 0.0))
+    ceiling = draw(st.floats(0.0, 60.0))
+    jump_at = draw(st.floats(-8.0, 8.0))
+    jump = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+
+    def objective(gain):
+        x = np.log10(gain)
+        value = min(max(-slope * (x - centre), floor), ceiling)
+        return value - (jump if x >= jump_at else 0.0)
+
+    return objective, jump == 0.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    drawn=monotone_objectives(),
+    target=st.floats(-100.0, 100.0),
+    steps=st.sampled_from([1, 4, scene._MAX_STEPS]),
+)
+def test_bisection_returns_a_gain_within_tolerance_or_says_why(drawn, target, steps):
+    objective, continuous = drawn
+    values = []
+
+    def recorded(gain):
+        values.append(objective(gain))
+        return values[-1]
+
+    lo, hi = scene._GAIN_BOUNDS
+    tolerance = scene._TOLERANCE_DB
+    with mock.patch.object(scene, "_MAX_STEPS", steps):
+        try:
+            gain = calibrate_noise_gain(recorded, target)
+        except CalibrationError as exc:
+            message = str(exc)
+        else:
+            assert lo <= gain <= hi
+            assert abs(objective(gain) - target) <= tolerance
+            return
+    if "above reach" in message:
+        # the quietest noise scores highest, and still too low
+        assert values == [objective(lo)] and values[0] < target - tolerance
+    elif "below reach" in message:
+        assert values == [objective(lo), objective(hi)] and values[1] > target + tolerance
+    else:
+        assert f"after {steps} steps" in message
+        assert len(values) == steps + 2
+        # the quietest gain and every midpoint missed the target (the loudest
+        # gain is tested for reach only)
+        assert all(abs(value - target) > tolerance for value in values[:1] + values[2:])
+        # halving the log-gain bracket 80 times reaches float resolution, where
+        # a continuous objective moves by far less than the tolerance
+        assert not (continuous and steps == scene._MAX_STEPS)
 
 
 class TestBlockedObjective:
@@ -141,8 +221,8 @@ class TestBlockedObjective:
     ):
         # 6.5 s is 809 fwSSNR frames: blocks of 256, 256 and 297 frames
         sc = make_scene(n_sources=n_sources, n_mics=4, duration=6.5, seed=20 + n_sources)
-        unit = render(sc, 1.0)
-        objective = scene._input_fwssnr_of_gain(unit, range(n_sources), CFG, reference_mics)
+        unit = render(sc)
+        objective = scene._input_fwssnr_of_gain(unit, CFG, reference_mics)
         refs = [
             FwssnrReference(unit.anechoic[i, mic], CFG, FS) for i, mic in enumerate(reference_mics)
         ]
@@ -166,9 +246,11 @@ class TestBlockedObjective:
 class TestRenderOnce:
     @pytest.mark.parametrize("gain", [0.0, 0.037, 1.0, 2.5])
     def test_with_noise_gain_is_bitwise_render(self, gain):
+        # the render of the scene whose noise is scaled before rendering
         sc = make_scene(seed=10, t60=0.2)
-        direct = render(sc, gain)
-        rescaled = with_noise_gain(render(sc, 1.0), gain)
+        rescaled = with_noise_gain(render(sc), gain)
+        sc.noise = gain * sc.noise
+        direct = render(sc)
         for name in ("mics", "components", "anechoic", "noise"):
             np.testing.assert_array_equal(getattr(rescaled, name), getattr(direct, name))
 
@@ -177,7 +259,7 @@ class TestFwssnrReference:
     def signals(self, seed):
         rng = np.random.default_rng(seed)
         sc = make_scene(seed=seed, n_mics=2)
-        r = render(sc, 0.4)
+        r = with_noise_gain(render(sc), 0.4)
         return r.mics[1] + 0.01 * rng.standard_normal(r.mics.shape[1]), r.anechoic[0, 0]
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -189,7 +271,7 @@ class TestFwssnrReference:
         assert score == oracle.fwssnr(test, reference, CFG, FS)
 
     def test_input_fwssnr_bitwise_equals_frozen_oracle(self):
-        r = render(make_scene(seed=13, n_sources=3, n_mics=3), 0.3)
+        r = with_noise_gain(render(make_scene(seed=13, n_sources=3, n_mics=3)), 0.3)
         for speaker, mic in [(0, 0), (1, 2), (2, 1)]:
             got = metrics.input_fwssnr(r, speaker, CFG, FS, mic)
             assert got == oracle.input_fwssnr(r.mics, r.anechoic, speaker, CFG, FS, mic)

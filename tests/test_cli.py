@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from cogbeam import aad, cli, linalg, metrics, scene
 from cogbeam.tensorfile import read_tensor, write_tensor
@@ -339,14 +340,12 @@ class TestEnhance:
     def test_rising_rounds_per_bin(self, pipeline, tmp_path):
         # speaker 0's all-ones target mask in bin 5 fails that bin, which
         # passes through with no count
-        from cogbeam import masks as masks_mod
-
         root, _, _ = pipeline
         cfg = cli.load_config(write_config(tmp_path, beamformer={"iterations": 4}))
         mask_set = cli._oracle_masks(root / "scene", cfg.stft)
         mask_set[0, :, 5] = 1.0
         mask_path = tmp_path / "masks.cbtf"
-        masks_mod.store_masks(mask_set, mask_path)
+        write_tensor(mask_path, mask_set)
         cfg = cli.load_config(
             write_config(
                 tmp_path,
@@ -371,12 +370,10 @@ class TestEnhance:
         assert None not in diag["speaker1"]["rising_rounds_per_bin"]
 
     def test_mask_file_route_matches_oracle_route(self, pipeline, tmp_path):
-        from cogbeam import masks as masks_mod
-
         root, cfg, _ = pipeline
         mask_set = cli._oracle_masks(root / "scene", cfg.stft)
         mask_path = tmp_path / "masks.cbtf"
-        masks_mod.store_masks(mask_set, mask_path)
+        write_tensor(mask_path, mask_set)
 
         cfg_file = cli.load_config(
             write_config(tmp_path, masks={"source": "file", "path": str(mask_path)})
@@ -819,6 +816,28 @@ class TestMainEntry:
         assert meta["seed"] == 99
 
 
+class TestReadWav:
+    def test_integer_pcm_scaled_to_unit_range(self, tmp_path):
+        # 8-bit WAV is unsigned with silence at 128
+        path = tmp_path / "u8.wav"
+        scipy.io.wavfile.write(path, 8000, np.array([0, 128, 255, 64], dtype=np.uint8))
+        data, rate = cli.read_wav(path)
+        assert rate == 8000
+        np.testing.assert_array_equal(data, [[-1.0, 0.0, 127 / 128, -0.5]])
+        for dtype, full_scale in [(np.int16, 2.0**15), (np.int32, 2.0**31)]:
+            path = tmp_path / f"{np.dtype(dtype).name}.wav"
+            pcm = np.array([[-full_scale, 0], [full_scale / 2, full_scale / 4]]).astype(dtype)
+            scipy.io.wavfile.write(path, 8000, pcm)
+            np.testing.assert_array_equal(cli.read_wav(path)[0], [[-1.0, 0.5], [0.0, 0.25]])
+
+    def test_unscalable_integer_width_refused(self, tmp_path):
+        # 64-bit PCM read back unscaled, about 1e12 for this sample
+        path = tmp_path / "i64.wav"
+        scipy.io.wavfile.write(path, 8000, np.array([0, 2**40], dtype=np.int64))
+        with pytest.raises(ValueError, match=r"i64\.wav: cannot scale int64 WAV samples"):
+            cli.read_wav(path)
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize("key", ["seed", "sample_rate"])
     @pytest.mark.parametrize("value", ["abc", 1.7, True, 16000.9, None])
@@ -959,6 +978,47 @@ class TestConfigTypes:
         assert (cfg.metrics.band_range_hz, cfg.metrics.clamp_db) == ((0, 8000), (-5, 30))
         cfg = cli.load_config(write_config(tmp_path, metrics={"band_range_hz": [100, None]}))
         assert cfg.metrics.band_range_hz == (100, None)
+
+    @pytest.mark.parametrize(
+        "overrides, key, samples, frame, frame_key",
+        [
+            # on a 2 s scene with a 128/32 STFT, each loaded and then failed
+            # inside a stage: "signal length 32032 shorter than one frame
+            # (80000)" in simulate, "shorter than one frame" in enhance, and
+            # impulse responses longer than the sources in simulate
+            ({"metrics": {"frame_ms": 5000}}, "scene.duration_s 2", 32000, 80000, "metrics.frame_ms"),
+            ({"stft": {"frame_length": 100000}}, "scene.duration_s 2", 32000, 100000,
+             "stft.frame_length"),
+            ({"scene": {"duration_s": 0.005}}, "scene.duration_s 0.005", 80, 128, "stft.frame_length"),
+            ({"scene": {"duration_s": 6.0}, "metrics": {"frame_ms": 5000}}, "aad.trial_seconds 1.5",
+             24000, 80000, "metrics.frame_ms"),
+        ],
+    )
+    def test_scene_and_trials_shorter_than_a_frame_refused(
+        self, tmp_path, overrides, key, samples, frame, frame_key
+    ):
+        sections = {"scene": {"duration_s": 2.0}, "stft": {"frame_length": 128, "hop": 32}}
+        for section, values in overrides.items():
+            sections[section] = sections.get(section, {}) | values
+        path = write_config(tmp_path, **sections)
+        message = (
+            rf"^{re.escape(key)} gives {samples} samples at sample_rate 16000, shorter than "
+            rf"the {frame}-sample frame of {re.escape(frame_key)}$"
+        )
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+
+    def test_scene_and_trials_one_frame_long_kept(self, tmp_path):
+        # 5120 samples each: the scene, a trial and a 320 ms fwSSNR frame
+        cfg = cli.load_config(
+            write_config(
+                tmp_path,
+                scene={"duration_s": 0.32},
+                aad={"trial_seconds": 0.32},
+                metrics={"frame_ms": 320.0},
+            )
+        )
+        assert cfg.scene.duration_s == cfg.aad.trial_seconds == 0.32
 
     @pytest.mark.parametrize("sample_rate", [0, 1000, -16000])
     def test_sample_rate_below_the_speech_filter_refused(self, tmp_path, sample_rate):

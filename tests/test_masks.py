@@ -74,7 +74,7 @@ class TestAlignMasks:
     def test_identical_sets_identity(self):
         rng = np.random.default_rng(4)
         ref = random_mask_set(rng)
-        out = masks.align_masks([ref, ref.copy(), ref.copy()], 0)
+        out = masks.align_masks([ref, ref.copy(), ref.copy()])
         for aligned in out:
             np.testing.assert_array_equal(aligned, ref)
 
@@ -82,21 +82,21 @@ class TestAlignMasks:
         rng = np.random.default_rng(5)
         ref = random_mask_set(rng)
         swapped = ref[[1, 0, 2]]
-        out = masks.align_masks([ref, swapped], 0)
+        out = masks.align_masks([ref, swapped])
         np.testing.assert_array_equal(out[1], ref)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(6)
         ref = random_mask_set(rng)
         other = random_mask_set(rng)
-        out = masks.align_masks([ref, other], 0)
+        out = masks.align_masks([ref, other])
         best, _ = brute_force_alignment(ref, other)
         np.testing.assert_array_equal(out[1], other[best])
 
     def test_output_is_permutation_of_input(self):
         rng = np.random.default_rng(7)
         sets = [random_mask_set(rng) for _ in range(3)]
-        out = masks.align_masks(sets, 0)
+        out = masks.align_masks(sets)
         for original, aligned in zip(sets, out):
             orig_planes = sorted(map(tuple, original.reshape(3, -1)))
             alig_planes = sorted(map(tuple, aligned.reshape(3, -1)))
@@ -107,7 +107,7 @@ class TestAlignMasks:
         rng = np.random.default_rng(8)
         ref = random_mask_set(rng, s=7)
         perm = rng.permutation(7)
-        out = masks.align_masks([ref, ref[perm]], 0)
+        out = masks.align_masks([ref, ref[perm]])
         np.testing.assert_array_equal(out[1], ref)
 
 
@@ -119,7 +119,7 @@ def test_assignment_matches_brute_force(seed, n_sources):
     other = random_mask_set(rng, s=n_sources)
     best, gap = brute_force_alignment(ref, other)
     assume(gap > 1e-9)  # tie-free: the optimum is unique
-    out = masks.align_masks([ref, other], 0)
+    out = masks.align_masks([ref, other])
     np.testing.assert_array_equal(out[1], other[best])
 
 
@@ -147,7 +147,7 @@ class TestAverageMasks:
         noisy = np.clip(ref + 0.01 * rng.standard_normal(ref.shape), 0, 1)
         perm = [2, 0, 1]
         direct = masks.average_masks([ref, noisy])
-        via_alignment = masks.average_masks(masks.align_masks([ref, noisy[perm]], 0))
+        via_alignment = masks.average_masks(masks.align_masks([ref, noisy[perm]]))
         np.testing.assert_allclose(via_alignment, direct, atol=1e-12)
 
     def test_empty_rejected(self):
@@ -160,7 +160,7 @@ class TestMaskIo:
         rng = np.random.default_rng(12)
         m = random_mask_set(rng)
         path = tmp_path / "m.cbtf"
-        masks.store_masks(m, path)
+        write_tensor(path, m)
         out = masks.load_masks(path)
         np.testing.assert_array_equal(out, m)
 
@@ -194,7 +194,7 @@ class TestMaskIo:
 
     def test_truncated_file_structured_error(self, tmp_path):
         path = tmp_path / "m.cbtf"
-        masks.store_masks(np.full((1, 2, 2), 0.5), path)
+        write_tensor(path, np.full((1, 2, 2), 0.5))
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(TensorFileError, match="missing 16 bytes"):
             masks.load_masks(path)

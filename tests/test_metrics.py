@@ -131,17 +131,14 @@ class TestAadAccuracy:
 
 class TestChanceUpperBound:
     def test_single_trial_unreachable(self):
-        assert chance_upper_bound(1, 0.05) == 100.0
+        assert chance_upper_bound(1) == 100.0
 
     def test_monotone_in_n(self):
         assert chance_upper_bound(100) < chance_upper_bound(20)
 
-    def test_tightens_with_larger_alpha(self):
-        assert chance_upper_bound(40, 0.10) <= chance_upper_bound(40, 0.01)
-
     @pytest.mark.parametrize("n", [5, 20, 40, 100])
     def test_matches_scipy_binomial_tail(self, n):
-        bound = chance_upper_bound(n, 0.05)
+        bound = chance_upper_bound(n)
         k = int(round(bound * n / 100.0))
         # the reported k is significant, k - 1 is not
         assert scipy.stats.binom.sf(k - 1, n, 0.5) <= 0.05
@@ -154,5 +151,3 @@ class TestChanceUpperBound:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             chance_upper_bound(0)
-        with pytest.raises(ValueError):
-            chance_upper_bound(10, 0.0)

@@ -49,7 +49,7 @@ def test_calibration_objective_working_set_is_flat_in_length():
     for seconds in (4, 16):
         unit = unit_scene(seconds)
         extra[seconds], objective = working_set(
-            lambda: scene._input_fwssnr_of_gain(unit, [0, 1], metrics.FwssnrConfig(), [0, 3])
+            lambda: scene._input_fwssnr_of_gain(unit, metrics.FwssnrConfig(), [0, 3])
         )
         assert np.isfinite(objective(0.5))
     assert abs(extra[16] - extra[4]) < MiB, extra
