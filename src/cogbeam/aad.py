@@ -6,9 +6,8 @@ speech envelope, trained by ridge regression. Selection correlates the
 reconstruction against each candidate reference envelope and picks the
 argmax. A seeded synthetic-EEG generator stands in for recorded data so the
 whole chain can be exercised end to end. It synthesizes a whole trial set in
-one pass (one noise filter call for every trial and channel, one draw of the
-listener's mixing), and each trial keeps the bits of synthesizing it alone
-with ``synthesize_eeg``.
+one pass: one noise filter call for every trial and channel, one draw of the
+listener's mixing.
 """
 
 import functools
@@ -20,14 +19,10 @@ import scipy.signal
 
 __all__ = [
     "UndefinedCorrelationError",
-    "Decoder",
     "SpeakerSelection",
     "extract_envelope",
-    "train_decoder",
-    "reconstruct_envelope",
     "pearson",
     "select_speaker",
-    "synthesize_eeg",
     "make_synthetic_trial_set",
     "decode_trials",
 ]
@@ -103,37 +98,6 @@ def _design_matrix(eeg, lags):
     return np.ascontiguousarray(windows.transpose(1, 0, 2)).reshape(valid, n_ch * lags.size)
 
 
-@dataclass
-class Decoder:
-    """Spatio-temporal reconstruction filter: weights (channels, lags) over
-    z-scored EEG."""
-
-    weights: np.ndarray
-    lags: np.ndarray
-    rate: float
-
-    @property
-    def n_channels(self):
-        return self.weights.shape[0]
-
-
-def train_decoder(eeg_trials, attended_envelopes, lag_range_ms=(0.0, 250.0), ridge=100.0, rate=64):
-    """Ridge regression from lagged EEG to the attended envelope.
-
-    ``ridge`` scales relative to the mean lagged-feature power, so the
-    regularization strength is invariant to the EEG amplitude scale. EEG
-    channels are z-scored per trial before building features.
-    """
-    if len(eeg_trials) == 0 or len(eeg_trials) != len(attended_envelopes):
-        raise ValueError("need matching, nonempty EEG and envelope trial lists")
-    lags = _lag_indices(lag_range_ms, rate)
-    terms = [
-        _normal_terms(eeg, env, lags)[1:] for eeg, env in zip(eeg_trials, attended_envelopes)
-    ]
-    n_ch = np.asarray(eeg_trials[0]).shape[0]
-    return Decoder(_ridge_solve(terms, ridge).reshape(n_ch, lags.size), lags, rate)
-
-
 def _normal_terms(eeg, env, lags):
     """One trial's lagged design matrix ``X`` with its normal-equation terms:
     ``(X, XᵀX, Xᵀe, rows)``."""
@@ -149,7 +113,8 @@ def _normal_terms(eeg, env, lags):
 
 def _ridge_solve(terms, ridge):
     """Decoder weights from per-trial ``(XᵀX, Xᵀe, rows)`` terms, summed in
-    the given order."""
+    the given order. ``ridge`` is relative to the mean lagged-feature power,
+    so the regularization does not depend on the EEG amplitude scale."""
     if not terms:
         raise ValueError("need at least one training trial")
     dim = terms[0][0].shape[0]
@@ -164,18 +129,6 @@ def _ridge_solve(terms, ridge):
     cross /= n_rows
     penalty = ridge * float(np.mean(np.diag(normal)))
     return np.linalg.solve(normal + penalty * np.eye(dim), cross)
-
-
-def reconstruct_envelope(eeg, decoder):
-    """Apply the decoder over lagged EEG; output covers the valid region
-    (input length minus the maximum lag)."""
-    eeg = np.asarray(eeg, dtype=float)
-    if eeg.shape[0] != decoder.n_channels:
-        raise ValueError(
-            f"EEG has {eeg.shape[0]} channels, decoder expects {decoder.n_channels}"
-        )
-    x = _design_matrix(_zscore(eeg), decoder.lags)
-    return x @ decoder.weights.ravel()
 
 
 def pearson(a, b):
@@ -237,51 +190,10 @@ _MAX_LAG_MS = 200.0
 _LEAKAGE = 0.3
 
 
-def synthesize_eeg(
-    attended,
-    unattended,
-    n_channels,
-    snr_db,
-    mixing_seed,
-    noise_seed=None,
-    rate=64,
-):
-    """Seeded stand-in for recorded EEG.
-
-    Each channel carries a randomly weighted and delayed copy of the attended
-    envelope, a weaker copy of the unattended one, and low-frequency Gaussian
-    noise scaled so the attended component sits at ``snr_db``. The noise is
-    band-matched to the envelope region (EEG background is dominated by slow
-    activity), so ``snr_db`` states the ratio in the band a linear decoder
-    can exploit; white noise would let long trials recover the envelope far
-    below its nominal level. The mixing (delays, gains, signs) is drawn from
-    ``mixing_seed`` alone, playing the role of one listener's fixed response
-    geometry: reuse the same mixing seed across trials and only the noise
-    changes. Delays stay inside the decoder's default lag span.
-
-    This is the one-trial case of ``make_synthetic_trial_set``'s synthesis:
-    with ``noise_seed=SeedSequence((seed, t))`` it returns trial ``t`` of a
-    trial set, bit for bit.
-    """
-    attended = np.asarray(attended, dtype=float)
-    unattended = np.asarray(unattended, dtype=float)
-    if attended.shape != unattended.shape:
-        raise ValueError("envelope length mismatch")
-    return _synthesize_trials(
-        attended[None],
-        unattended[None],
-        n_channels,
-        snr_db,
-        mixing_seed,
-        [noise_seed],
-        rate,
-    )[0]
-
-
 def _synthesize_trials(attended, unattended, n_channels, snr_db, mixing_seed, noise_seeds, rate):
     """EEG ``(trials, channels, samples)`` for ``(trials, samples)`` attended
     and unattended envelopes; trial ``t`` draws its noise from
-    ``noise_seeds[t]`` (None: a seed derived from the mixing stream).
+    ``noise_seeds[t]``.
 
     The mixing stream is drawn once, as one trial would draw it, and every
     trial's noise is filtered and normalized in one pass. The mixing step
@@ -291,7 +203,7 @@ def _synthesize_trials(attended, unattended, n_channels, snr_db, mixing_seed, no
     """
     n_trials, n = attended.shape
     mix_rng = np.random.default_rng(mixing_seed)
-    derived_noise_seed = mix_rng.integers(2**63)  # keep the mixing stream
+    mix_rng.integers(2**63)  # unused, but dropping it shifts every later draw and EEG bit
     max_lag = max(1, int(round(_MAX_LAG_MS * 1e-3 * rate)))
 
     # volume conduction: half the background power is shared across channels
@@ -311,8 +223,7 @@ def _synthesize_trials(attended, unattended, n_channels, snr_db, mixing_seed, no
     # per trial: the shared rows, then one row per channel
     noise = np.empty((n_trials, n_shared + n_channels, n))
     for t, seed in enumerate(noise_seeds):
-        noise_rng = np.random.default_rng(seed if seed is not None else derived_noise_seed)
-        noise_rng.standard_normal(out=noise[t])
+        np.random.default_rng(seed).standard_normal(out=noise[t])
     noise = scipy.signal.sosfiltfilt(_lowpass(min(10.0, 0.4 * rate / 2), rate), noise, axis=-1)
     noise /= np.maximum(noise.std(axis=-1, keepdims=True), 1e-12)
 
@@ -344,12 +255,21 @@ def make_synthetic_trial_set(
     of shape ``(trials, channels, samples)`` and one label per trial.
 
     ``attended`` is a speaker index applied to all trials or one index per
-    trial. ``seed`` plays the role of the listener: the EEG mixing is fixed
-    across the whole set and only the per-trial noise differs, so a decoder
-    trained on some trials of a set transfers to the rest. Trial ``t`` is
-    ``synthesize_eeg`` of its envelopes with ``mixing_seed=seed`` and
-    ``noise_seed=SeedSequence((seed, t))``, bit for bit, made for all
-    trials in one filtering pass.
+    trial. Each channel carries a randomly weighted and delayed copy of the
+    attended envelope, a weaker copy of the mean of the others, and
+    low-frequency Gaussian noise scaled so the attended component sits at
+    ``snr_db``. The noise is band-matched to the envelope region (EEG
+    background is dominated by slow activity), so ``snr_db`` states the
+    ratio in the band a linear decoder can exploit; white noise would let
+    long trials recover the envelope far below its nominal level. Delays
+    stay inside the decoder's default lag span.
+
+    ``seed`` plays the role of the listener: the mixing (delays, gains,
+    signs) is drawn from it once and fixed across the whole set, and trial
+    ``t`` draws its noise from ``SeedSequence((seed, t))``, so a decoder
+    trained on some trials of a set transfers to the rest. A trial's EEG
+    depends only on its own envelopes, ``seed`` and ``t``: the same bits in
+    a set of any size.
     """
     envelopes = np.asarray(envelopes, dtype=float)
     n_spk, n = envelopes.shape

@@ -230,6 +230,13 @@ def load_config(path):
     # the scene is analyzed in STFT frames and scored in fwSSNR frames, and
     # each trial is scored in fwSSNR frames
     fw_frame = round(cfg.metrics.frame_ms * 1e-3 * cfg.sample_rate)
+    if fw_frame < 3 or not metrics._band_matrix(cfg.metrics, fw_frame, cfg.sample_rate).any():
+        raise ConfigError(
+            f"metrics.frame_ms {cfg.metrics.frame_ms:g} gives a {fw_frame}-sample fwSSNR frame "
+            f"at sample_rate {cfg.sample_rate}; a frame needs at least 3 samples (a shorter "
+            "Hann window is all zero) and a frequency bin inside a band of "
+            f"metrics.band_range_hz {list(cfg.metrics.band_range_hz)}: lengthen the frame"
+        )
     for key, seconds, frame, frame_name in [
         ("scene.duration_s", cfg.scene.duration_s, cfg.stft.frame_length, "stft.frame_length"),
         ("scene.duration_s", cfg.scene.duration_s, fw_frame, "metrics.frame_ms"),
@@ -247,6 +254,17 @@ def load_config(path):
         )
     if cfg.scene.condition not in CONDITION_PRESETS and cfg.scene.condition != "custom":
         raise ConfigError(f"unknown scene condition {cfg.scene.condition!r}")
+    # simulate cuts the sources to int(duration_s * sample_rate) samples,
+    # and render needs them longer than the impulse responses
+    t60 = _t60_and_target(cfg.scene)[0]
+    taps = scene._ir_taps(cfg.sample_rate, t60)[2]
+    n_samples = int(cfg.scene.duration_s * cfg.sample_rate)
+    if n_samples <= taps:
+        raise ConfigError(
+            f"scene.duration_s {cfg.scene.duration_s:g} gives {n_samples} samples at "
+            f"sample_rate {cfg.sample_rate}, not more than the {taps} taps of the T60 "
+            f"{t60:g} s room impulse responses: lengthen the scene or shorten scene.t60_s"
+        )
     if cfg.masks.source not in ("oracle", "file"):
         raise ConfigError("masks.source must be 'oracle' or 'file'")
     if cfg.masks.source == "file":
@@ -339,20 +357,26 @@ def _speaker_reference_mics(anechoic_irs):
     return [int(np.argmax(energy[i])) for i in range(energy.shape[0])]
 
 
+def _t60_and_target(sc):
+    """The scene's T60 and input fwSSNR target: its condition's preset
+    values, each replaced by the scene's own when set."""
+    if sc.condition == "custom":
+        return sc.t60_s, sc.target_input_fwssnr_db
+    t60, target = CONDITION_PRESETS[sc.condition]
+    if sc.t60_s is not None:
+        t60 = sc.t60_s
+    if sc.target_input_fwssnr_db is not None:
+        target = sc.target_input_fwssnr_db
+    return t60, target
+
+
 def cmd_simulate(cfg, out_dir):
     """Build and store a rendered scene with all oracle components."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sc = cfg.scene
     fs = cfg.sample_rate
-    if sc.condition == "custom":
-        t60, target = sc.t60_s, sc.target_input_fwssnr_db
-    else:
-        t60, target = CONDITION_PRESETS[sc.condition]
-        if sc.t60_s is not None:
-            t60 = sc.t60_s
-        if sc.target_input_fwssnr_db is not None:
-            target = sc.target_input_fwssnr_db
+    t60, target = _t60_and_target(sc)
 
     sources = []
     for i in range(sc.n_speakers):

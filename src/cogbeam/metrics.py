@@ -21,7 +21,6 @@ from .stft import _frame_blocks
 __all__ = [
     "FwssnrConfig",
     "FwssnrReference",
-    "fwssnr",
     "input_fwssnr",
     "DecodeOutcome",
     "selection_outcome",
@@ -115,10 +114,10 @@ class FwssnrReference:
     """A reference signal framed once, for scoring any number of signals.
 
     Holds the reference's band powers, its speech-active frames and the
-    per-frame band weights; ``score(test)`` equals ``fwssnr(test, reference)``
-    bit for bit. ``band_power`` and ``score_band_power`` split the score at
-    the residual's band powers, so a caller that can compute those another
-    way (the noise-gain calibration) shares the scoring tail.
+    per-frame band weights; ``score(test)`` is the fwSSNR of ``test``
+    against the reference. ``band_power`` and ``score_band_power`` split the
+    score at the residual's band powers, so a caller that can compute those
+    another way (the noise-gain calibration) shares the scoring tail.
 
     Raises ValueError for a silent reference, one shorter than a frame, or
     one with no speech-active frame.
@@ -187,18 +186,6 @@ class FwssnrReference:
         if test.shape != self.reference.shape:
             raise ValueError(f"length mismatch: {test.shape} vs {self.reference.shape}")
         return self.score_band_power(self.band_power(test - self.reference))
-
-
-def fwssnr(test, reference, cfg=FwssnrConfig(), sample_rate=16000):
-    """Frequency-weighted segmental SNR of ``test`` against ``reference`` in dB.
-
-    Raises ValueError on length mismatch or a silent reference.
-    """
-    test = np.asarray(test, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if test.shape != reference.shape:
-        raise ValueError(f"length mismatch: {test.shape} vs {reference.shape}")
-    return FwssnrReference(reference, cfg, sample_rate).score(test)
 
 
 def input_fwssnr(rendered, speaker, cfg=FwssnrConfig(), sample_rate=16000, reference_mic=0):

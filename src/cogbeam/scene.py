@@ -233,6 +233,8 @@ def calibrate_noise_gain(objective, target_fwssnr):
         raise CalibrationError(
             f"target {target_fwssnr:.2f} dB below reach: {val_hi:.2f} dB at gain {hi:g}"
         )
+    if abs(val_hi - target_fwssnr) <= _TOLERANCE_DB:
+        return hi
     for _ in range(_MAX_STEPS):
         mid = np.sqrt(lo * hi)  # bisect in log domain
         val = objective(mid)
@@ -352,6 +354,17 @@ _N_REFLECTIONS = 96
 _REFLECTION_SPREAD = 1.0
 
 
+def _ir_taps(sample_rate, t60, max_delay_ms=2.0, early_gap_ms=8.0):
+    """``synthetic_room_irs``'s sample counts: the longest direct-path delay,
+    the gap from the direct path to the first reflection, and the length of
+    the returned impulse responses (of the anechoic ones when ``t60 <= 0``)."""
+    max_delay = max(1, int(round(max_delay_ms * 1e-3 * sample_rate)))
+    gap = int(round(early_gap_ms * 1e-3 * sample_rate))
+    if t60 <= 0:
+        return max_delay, gap, max_delay + 1
+    return max_delay, gap, max_delay + 1 + gap + int(round(t60 * sample_rate)) + max_delay
+
+
 def synthetic_room_irs(
     n_sources,
     n_mics,
@@ -385,7 +398,7 @@ def synthetic_room_irs(
     Returns ``(irs, anechoic_irs)`` of shapes (I, M, L) and (I, M, La).
     """
     rng = np.random.default_rng(seed)
-    max_delay = max(1, int(round(max_delay_ms * 1e-3 * sample_rate)))
+    max_delay, gap, l_ir = _ir_taps(sample_rate, t60, max_delay_ms, early_gap_ms)
     delays = rng.integers(0, max_delay + 1, size=(n_sources, n_mics))
     mic_pos = np.linspace(0.0, 1.0, n_mics) if n_mics > 1 else np.array([0.5])
     src_pos = np.linspace(0.0, 1.0, n_sources) if n_sources > 1 else np.array([0.5])
@@ -403,9 +416,6 @@ def synthetic_room_irs(
     if t60 <= 0:
         return anechoic.copy(), anechoic
 
-    gap = int(round(early_gap_ms * 1e-3 * sample_rate))
-    tail_len = int(round(t60 * sample_rate))
-    l_ir = la + gap + tail_len + max_delay
     irs = np.zeros((n_sources, n_mics, l_ir))
     for i in range(n_sources):
         # image arrival times and amplitudes are per source, shared by mics

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from cogbeam import metrics
+from cogbeam import aad, metrics
 from cogbeam.aad import (
     UndefinedCorrelationError,
     decode_trials,
     extract_envelope,
     make_synthetic_trial_set,
     pearson,
-    reconstruct_envelope,
     select_speaker,
-    synthesize_eeg,
-    train_decoder,
 )
 
 FS = 16000
@@ -26,17 +23,27 @@ def smooth_envelope(rng, n, rate=EEG_RATE):
     return np.abs(env) + 0.1
 
 
+def train(eeg_trials, envelopes, ridge=100.0):
+    """Decoder weights and lags from the kernels ``decode_trials`` trains with."""
+    lags = aad._lag_indices((0.0, 250.0), EEG_RATE)
+    terms = [aad._normal_terms(eeg, env, lags)[1:] for eeg, env in zip(eeg_trials, envelopes)]
+    return aad._ridge_solve(terms, ridge), lags
+
+
+def reconstruct(eeg, w, lags):
+    """``x @ w`` over the lagged design matrix, as ``decode_trials`` reconstructs."""
+    return aad._design_matrix(aad._zscore(eeg), lags) @ w
+
+
 def reference_synthesize_eeg(
-    attended, unattended, n_channels, snr_db, mixing_seed, noise_seed=None, rate=64
+    attended, unattended, n_channels, snr_db, mixing_seed, noise_seed, rate=64
 ):
     """The synthesis as a per-channel loop that filters each noise row on its
     own: the bit-exact reference for the one-pass synthesis, with envelope
     copies delayed by up to 200 ms and the unattended one at 0.3 gain."""
     mix_rng = np.random.default_rng(mixing_seed)
-    derived_noise_seed = mix_rng.integers(2**63)
-    noise_rng = np.random.default_rng(
-        noise_seed if noise_seed is not None else derived_noise_seed
-    )
+    mix_rng.integers(2**63)  # drawn and unused, as in the synthesis
+    noise_rng = np.random.default_rng(noise_seed)
     n = attended.size
     max_lag = max(1, int(round(200.0 * 1e-3 * rate)))
     sos = scipy.signal.butter(2, min(10.0, 0.4 * rate / 2), fs=rate, output="sos")
@@ -195,17 +202,16 @@ class TestDecoder:
         env = smooth_envelope(rng, 2000)
         eeg = np.zeros((4, 2000))
         eeg[1] = env
-        dec = train_decoder([eeg], [env], ridge=1e-8, rate=EEG_RATE)
-        recon = reconstruct_envelope(eeg, dec)
+        recon = reconstruct(eeg, *train([eeg], [env], ridge=1e-8))
         assert pearson(recon, env[: recon.size]) >= 0.999
 
     def test_large_ridge_shrinks_weights(self):
         rng = np.random.default_rng(11)
         env = smooth_envelope(rng, 1000)
         eeg = np.vstack([env, rng.standard_normal(1000)])
-        small = train_decoder([eeg], [env], ridge=1e-6, rate=EEG_RATE)
-        huge = train_decoder([eeg], [env], ridge=1e9, rate=EEG_RATE)
-        assert np.linalg.norm(huge.weights) <= 1e-6 * np.linalg.norm(small.weights)
+        small, _ = train([eeg], [env], ridge=1e-6)
+        huge, _ = train([eeg], [env], ridge=1e9)
+        assert np.linalg.norm(huge) <= 1e-6 * np.linalg.norm(small)
 
     def test_planted_linear_model_recovers_weights(self):
         # forward model eeg = w* applied to lagged envelope, white envelope
@@ -221,8 +227,7 @@ class TestDecoder:
             for j, lag in enumerate(lags):
                 eeg[c, lag : lag + valid] += true_w[c, j] * env[:valid]
         eeg += eeg.std() * rng.standard_normal(eeg.shape)  # 0 dB noise
-        dec = train_decoder([eeg], [env], ridge=100.0, rate=EEG_RATE)
-        got = dec.weights.ravel()
+        got, _ = train([eeg], [env], ridge=100.0)
         ref = true_w.ravel()
         corr = np.dot(got - got.mean(), ref - ref.mean()) / (
             np.linalg.norm(got - got.mean()) * np.linalg.norm(ref - ref.mean())
@@ -233,60 +238,62 @@ class TestDecoder:
         rng = np.random.default_rng(13)
         eeg = rng.standard_normal((3, 400))
         env = smooth_envelope(rng, 400)
-        dec = train_decoder([eeg], [env], ridge=1.0, rate=EEG_RATE)
-        recon = reconstruct_envelope(eeg, dec)
+        w, lags = train([eeg], [env], ridge=1.0)
+        recon = reconstruct(eeg, w, lags)
+        weights = w.reshape(3, lags.size)  # column c * len(lags) + j: channel c, lag j
         z = (eeg - eeg.mean(axis=1, keepdims=True)) / eeg.std(axis=1, keepdims=True)
         naive = np.zeros_like(recon)
         for c in range(3):
-            for j, lag in enumerate(dec.lags):
-                naive += dec.weights[c, j] * z[c, lag : lag + naive.size]
+            for j, lag in enumerate(lags):
+                naive += weights[c, j] * z[c, lag : lag + naive.size]
         np.testing.assert_allclose(recon, naive, atol=1e-10)
 
     def test_zero_eeg_zero_reconstruction(self):
         rng = np.random.default_rng(14)
         env = smooth_envelope(rng, 500)
         eeg = np.vstack([env, env * 0.5])
-        dec = train_decoder([eeg], [env], rate=EEG_RATE)
-        recon = reconstruct_envelope(np.zeros_like(eeg), dec)
+        recon = reconstruct(np.zeros_like(eeg), *train([eeg], [env]))
         np.testing.assert_allclose(recon, 0.0, atol=1e-12)
 
-    def test_channel_count_mismatch(self):
-        rng = np.random.default_rng(15)
-        env = smooth_envelope(rng, 500)
-        dec = train_decoder([np.vstack([env, env])], [env], rate=EEG_RATE)
-        with pytest.raises(ValueError, match="channels"):
-            reconstruct_envelope(np.zeros((3, 500)), dec)
+
+def one_trial_set(attended, unattended, n_channels, snr_db, seed):
+    """EEG of a one-trial synthetic set whose candidates are ``attended``
+    and ``unattended``, attending the first."""
+    eeg, _ = make_synthetic_trial_set(
+        np.vstack([attended, unattended]), 0, EEG_RATE, n_channels, snr_db, seed,
+        trial_seconds=attended.size / EEG_RATE,
+    )
+    return eeg[0]
 
 
 class TestSynthesizeEeg:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(16)
         att, unatt = smooth_envelope(rng, 500), smooth_envelope(rng, 500)
-        a = synthesize_eeg(att, unatt, 8, 10.0, mixing_seed=42)
-        b = synthesize_eeg(att, unatt, 8, 10.0, mixing_seed=42)
+        a = one_trial_set(att, unatt, 8, 10.0, seed=42)
+        b = one_trial_set(att, unatt, 8, 10.0, seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_fixed_mixing_varying_noise(self):
+        # two trials of one set with the same envelopes: the same listener
+        # mixing, each trial's own noise
         rng = np.random.default_rng(17)
         att, unatt = smooth_envelope(rng, 500), smooth_envelope(rng, 500)
-        a = synthesize_eeg(att, unatt, 8, 40.0, mixing_seed=1, noise_seed=10)
-        b = synthesize_eeg(att, unatt, 8, 40.0, mixing_seed=1, noise_seed=11)
+        (a, b), _ = make_synthetic_trial_set(
+            np.tile(np.vstack([att, unatt]), 2), 0, EEG_RATE, 8, 40.0, seed=1,
+            trial_seconds=500 / EEG_RATE,
+        )
         # signal component identical, noise tiny: channels nearly equal
         assert not np.array_equal(a, b)
         np.testing.assert_allclose(a, b, atol=0.02 * np.abs(a).max())
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            synthesize_eeg(np.ones(10), np.ones(11), 4, 0.0, mixing_seed=0)
-
-    @pytest.mark.parametrize("noise_seed", [None, 10, np.random.SeedSequence((4, 2))])
     @pytest.mark.parametrize("n", [64, 1920])
-    def test_matches_per_channel_reference(self, noise_seed, n):
+    def test_matches_per_channel_reference(self, n):
         rng = np.random.default_rng(20)
         att, unatt = smooth_envelope(rng, n), smooth_envelope(rng, n)
-        args = (att, unatt, 16, 5.0, 4, noise_seed)
         np.testing.assert_array_equal(
-            synthesize_eeg(*args), reference_synthesize_eeg(*args)
+            one_trial_set(att, unatt, 16, 5.0, seed=4),
+            reference_synthesize_eeg(att, unatt, 16, 5.0, 4, np.random.SeedSequence((4, 0))),
         )
 
 
@@ -322,10 +329,8 @@ class TestSyntheticTrials:
             seg = envelopes[:, t * per_trial : (t + 1) * per_trial]
             others = [i for i in range(n_speakers) if i != att]
             args = (seg[att], seg[others].mean(axis=0), 16, 5.0, seed)
-            noise_seed = np.random.SeedSequence((seed, t))
-            np.testing.assert_array_equal(eeg[t], synthesize_eeg(*args, noise_seed=noise_seed))
             np.testing.assert_array_equal(
-                eeg[t], reference_synthesize_eeg(*args, noise_seed=noise_seed)
+                eeg[t], reference_synthesize_eeg(*args, np.random.SeedSequence((seed, t)))
             )
 
     @pytest.mark.parametrize("attended", [-1, 2])
@@ -348,11 +353,9 @@ class TestDecodeTrials:
         candidates = envelopes.reshape(2, n_trials, per).transpose(1, 0, 2)
         got = decode_trials(eeg, candidates, labels)
         for t, sel in enumerate(got):
-            train = [j for j in range(n_trials) if j != t]
-            decoder = train_decoder(
-                [eeg[j] for j in train], [candidates[j, labels[j]] for j in train]
-            )
-            want = select_speaker(candidates[t], reconstruct_envelope(eeg[t], decoder))
+            others = [j for j in range(n_trials) if j != t]
+            w, lags = train([eeg[j] for j in others], [candidates[j, labels[j]] for j in others])
+            want = select_speaker(candidates[t], reconstruct(eeg[t], w, lags))
             assert (sel.index, sel.tie) == (want.index, want.tie)
             np.testing.assert_array_equal(sel.correlations, want.correlations)
         assert [sel.index for sel in got] == labels.tolist()
@@ -386,12 +389,9 @@ class TestEndToEnd:
         )
         per = eeg.shape[2]
         candidates = [envelopes[:, t * per : (t + 1) * per] for t in range(n_trials)]
-        decoder = train_decoder(
-            eeg[:n_train], [candidates[t][labels[t]] for t in range(n_train)], rate=EEG_RATE
-        )
+        w, lags = train(eeg[:n_train], [candidates[t][labels[t]] for t in range(n_train)])
         correct = [
-            select_speaker(candidates[t], reconstruct_envelope(eeg[t], decoder)).index
-            == labels[t]
+            select_speaker(candidates[t], reconstruct(eeg[t], w, lags)).index == labels[t]
             for t in range(n_train, n_trials)
         ]
         return metrics.aad_accuracy(correct)

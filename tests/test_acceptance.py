@@ -229,7 +229,7 @@ def trend_results():
         for out, sink in ((conv, deltas_conv), (plain, deltas_plain)):
             signal = stft.synthesize(out.z[None], cfg)[0]
             n = min(signal.size, reference.size)
-            sink.append(metrics.fwssnr(signal[:n], reference[:n]) - input_db)
+            sink.append(metrics.FwssnrReference(reference[:n]).score(signal[:n]) - input_db)
     return np.array(deltas_conv), np.array(deltas_plain), time.perf_counter() - start
 
 
@@ -356,12 +356,15 @@ def _aad_accuracy(seed, snr_db, n_train, n_test):
     )
     per = eeg.shape[2]
     candidates = [envelopes[:, t * per : (t + 1) * per] for t in range(total)]
-    # fixed split: train on the first n_train trials, decode the rest
-    decoder = aad.train_decoder(
-        eeg[:n_train], [candidates[t][labels[t]] for t in range(n_train)], rate=EEG_RATE
+    # fixed split: train on the first n_train trials with the kernels
+    # decode_trials trains with, decode the rest as it does (x @ w)
+    lags = aad._lag_indices((0.0, 250.0), EEG_RATE)
+    w = aad._ridge_solve(
+        [aad._normal_terms(eeg[t], candidates[t][labels[t]], lags)[1:] for t in range(n_train)],
+        100.0,
     )
     correct = [
-        aad.select_speaker(candidates[t], aad.reconstruct_envelope(eeg[t], decoder)).index
+        aad.select_speaker(candidates[t], aad._design_matrix(aad._zscore(eeg[t]), lags) @ w).index
         == labels[t]
         for t in range(n_train, total)
     ]
@@ -395,11 +398,12 @@ def test_criterion_9_aad_end_to_end():
 
 def test_criterion_10_metric_sanity():
     ref = scene.generate_decorrelated_noise(1, 4 * FS, "speech", FS, 100)[0]
-    clamp = metrics.fwssnr(ref, ref)
+    scorer = metrics.FwssnrReference(ref)
+    clamp = scorer.score(ref)
     noise = scene.generate_decorrelated_noise(1, 4 * FS, "speech", FS, 101)[0]
-    zero_db = metrics.fwssnr(ref + noise, ref)
+    zero_db = scorer.score(ref + noise)
     tie = metrics.selection_outcome(
-        [metrics.fwssnr(ref + noise, ref), metrics.fwssnr((ref + noise).copy(), ref)], 0
+        [scorer.score(ref + noise), scorer.score((ref + noise).copy())], 0
     )
     ok = (
         abs(clamp - 35.0) <= 1e-9

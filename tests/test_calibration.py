@@ -185,12 +185,25 @@ def test_bisection_returns_a_gain_within_tolerance_or_says_why(drawn, target, st
     else:
         assert f"after {steps} steps" in message
         assert len(values) == steps + 2
-        # the quietest gain and every midpoint missed the target (the loudest
-        # gain is tested for reach only)
-        assert all(abs(value - target) > tolerance for value in values[:1] + values[2:])
+        # both bracket gains and every midpoint missed the target
+        assert all(abs(value - target) > tolerance for value in values)
         # halving the log-gain bracket 80 times reaches float resolution, where
         # a continuous objective moves by far less than the tolerance
         assert not (continuous and steps == scene._MAX_STEPS)
+
+
+def test_upper_bracket_gain_returned_when_only_it_meets_the_target():
+    # 60 dB at the quietest gain, 0 dB at the one midpoint, -60 dB at the
+    # loudest: the target is met at the upper bracket gain alone
+    gains = []
+
+    def objective(gain):
+        gains.append(gain)
+        return -10.0 * np.log10(gain)
+
+    with mock.patch.object(scene, "_MAX_STEPS", 1):
+        assert calibrate_noise_gain(objective, -60.0) == scene._GAIN_BOUNDS[1]
+    assert gains == list(scene._GAIN_BOUNDS)  # no midpoint evaluated
 
 
 class TestBlockedObjective:
@@ -267,7 +280,6 @@ class TestFwssnrReference:
         test, reference = self.signals(seed)
         ref = FwssnrReference(reference, CFG, FS)
         score = ref.score(test)
-        assert score == metrics.fwssnr(test, reference, CFG, FS)
         assert score == oracle.fwssnr(test, reference, CFG, FS)
 
     def test_input_fwssnr_bitwise_equals_frozen_oracle(self):

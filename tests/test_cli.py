@@ -1020,6 +1020,74 @@ class TestConfigTypes:
         )
         assert cfg.scene.duration_s == cfg.aad.trial_seconds == 0.32
 
+    @pytest.mark.parametrize(
+        "metrics_cfg, samples",
+        [
+            # on a 2 s scene with a 128/32 STFT, each loaded and then failed in
+            # simulate: "Invalid number of FFT data points (0)" for 0 samples,
+            # "no speech-active frames in reference" for 1 (no bin inside a
+            # band) and for 2 (an all-zero Hann window)
+            ({"frame_ms": 0.01}, 0),
+            ({"frame_ms": 0.0625}, 1),
+            ({"frame_ms": 0.125}, 2),
+            # bins at 0 and 5333 Hz, both outside the band range
+            ({"frame_ms": 0.1875, "band_range_hz": [50, 1000]}, 3),
+        ],
+    )
+    def test_fwssnr_frame_that_scores_no_bin_refused(self, tmp_path, metrics_cfg, samples):
+        path = write_config(
+            tmp_path,
+            scene={"duration_s": 2.0},
+            stft={"frame_length": 128, "hop": 32},
+            metrics=metrics_cfg,
+        )
+        message = (
+            rf"^metrics\.frame_ms {metrics_cfg['frame_ms']:g} gives a {samples}-sample "
+            "fwSSNR frame "
+        )
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+
+    def test_three_sample_fwssnr_frame_kept(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            scene={"duration_s": 2.0},
+            stft={"frame_length": 128, "hop": 32},
+            metrics={"frame_ms": 0.1875},
+        )
+        assert cli.load_config(path).metrics.frame_ms == 0.1875
+
+    @pytest.mark.parametrize(
+        "duration, samples",
+        [
+            # each loaded, then simulate failed with "impulse responses (8193
+            # taps) must be shorter than the shortest source (... samples)"
+            (0.1, 1600),
+            (8193.5 / 16000, 8193),  # the sources are cut to whole samples
+        ],
+    )
+    def test_scene_not_longer_than_its_impulse_responses_refused(
+        self, tmp_path, duration, samples
+    ):
+        path = write_config(
+            tmp_path,
+            scene={"duration_s": duration, "t60_s": 0.5, "n_mics": 2},
+            aad={"trial_seconds": 0.3},
+        )
+        message = (
+            rf"^scene\.duration_s {duration:g} gives {samples} samples at sample_rate 16000, "
+            r"not more than the 8193 taps of the T60 0\.5 s room impulse responses"
+        )
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(path)
+
+    def test_preset_t60_scene_longer_than_its_impulse_responses_kept(self, tmp_path):
+        # the preset's 0.5 s T60 gives 8193 taps, under the 16000 samples
+        scene_cfg = {"condition": "reverberant-noisy", "t60_s": None, "duration_s": 1.0}
+        cfg = cli.load_config(write_config(tmp_path, scene=scene_cfg))
+        assert cli._t60_and_target(cfg.scene) == (0.5, 0.5)
+        assert scene.synthetic_room_irs(2, 2, t60=0.5)[0].shape[2] == 8193
+
     @pytest.mark.parametrize("sample_rate", [0, 1000, -16000])
     def test_sample_rate_below_the_speech_filter_refused(self, tmp_path, sample_rate):
         # 0 and 1000 loaded, then simulate failed designing the 500 Hz low-pass
