@@ -2,12 +2,14 @@
 
 Configuration is a single JSON file (documented in the README); every
 command is deterministic given (config, seed). Where numpy's bundled
-OpenBLAS exposes its thread setting, ``enhance`` writes the same bits for
-any BLAS thread setting and any CPU count; elsewhere it solves on one thread
-under the BLAS threading it finds, and its bits may depend on the BLAS
-thread count. Artifacts cross stage boundaries as float32 WAV, CBTF
-tensors and JSON records, so each stage can also be driven by externally
-produced files. Each stage reads only the scene files it uses.
+OpenBLAS exposes its thread setting, ``main`` runs every stage with it
+pinned to one thread (``linalg.one_blas_thread``), so each stage writes the
+same bits for any BLAS thread setting and any CPU count; elsewhere a stage
+runs under the BLAS threading it finds, ``enhance`` solves on one thread,
+and the bits may depend on the BLAS thread count. Artifacts cross stage
+boundaries as float32 WAV, CBTF tensors and JSON records, so each stage can
+also be driven by externally produced files. Each stage reads only the
+scene files it uses.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io.wavfile
 
-from . import aad, beamform, masks, metrics, scene, stft
+from . import aad, beamform, linalg, masks, metrics, scene, stft
 from .beamform import ConvBeamformerConfig
 from .metrics import FwssnrConfig
 from .stft import StftConfig
@@ -313,16 +315,26 @@ def _is_speaker_index(value, n_speakers):
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n_speakers
 
 
-def _check_trial_count(cfg):
+def _check_trial_count(cfg, n_samples, fs):
     """Leave-one-out decoding of synthetic EEG trains on the other trials, so
-    the scene must hold at least two. Checked when enhance or decode starts,
-    not at load time, because a shorter scene still simulates."""
-    if cfg.aad.mode == "synth" and cfg.scene.duration_s / cfg.aad.trial_seconds < 2:
+    a scene of ``n_samples`` at ``fs`` must hold at least two whole trials,
+    counted by ``_trial_spans`` as decode and evaluate count them. Checked
+    when enhance or decode starts, with the longest scene ``duration_s``
+    allows, and again on the scene's own length, which shortened pauses can
+    make shorter; not at load time, because a shorter scene still simulates."""
+    if cfg.aad.mode != "synth":
+        return
+    n_trials = len(_trial_spans(n_samples, fs, cfg.aad.trial_seconds))
+    if n_trials < 2:
+        sc = cfg.scene
         raise ConfigError(
-            f"scene.duration_s {cfg.scene.duration_s:g} holds fewer than two "
-            f"aad.trial_seconds {cfg.aad.trial_seconds:g} trials, and leave-one-out "
-            "decoding trains on the other trials: make duration_s at least twice "
-            "trial_seconds"
+            f"the scene's {n_samples / fs:g} s hold {n_trials} whole trial(s) of "
+            f"aad.trial_seconds {cfg.aad.trial_seconds:g}, and leave-one-out decoding "
+            "trains on the other trials, so it needs two: simulate cuts the sources to "
+            f"scene.duration_s {sc.duration_s:g} after shortening their pauses "
+            f"(scene.pause_every_s {sc.pause_every_s:g}, scene.pause_length_s "
+            f"{sc.pause_length_s:g}, scene.max_pause_s {sc.max_pause_s:g}); lengthen the "
+            "scene, shorten the pauses or shorten the trials"
         )
 
 
@@ -535,7 +547,7 @@ def cmd_enhance(cfg, scene_dir, out_dir):
     spectrogram and the masks are dropped before synthesis. One beamformer
     call solves every speaker, each with its own reference microphone.
     """
-    _check_trial_count(cfg)
+    _check_trial_count(cfg, int(cfg.scene.duration_s * cfg.sample_rate), cfg.sample_rate)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scene_dir = Path(scene_dir)
@@ -551,7 +563,10 @@ def cmd_enhance(cfg, scene_dir, out_dir):
     if source == "direct":
         noise_cov = _noise_covariance(read_tensor(scene_dir / "noise.cbtf"), cfg.stft)
         anech_irs = read_tensor(scene_dir / "irs_anechoic.cbtf")
-    mix_spec = stft.analyze(read_wav(scene_dir / "mics.wav")[0], cfg.stft)
+    mics = read_wav(scene_dir / "mics.wav")[0]
+    _check_trial_count(cfg, mics.shape[1], fs)
+    mix_spec = stft.analyze(mics, cfg.stft)
+    del mics
     if source == "masks" and cfg.masks.source == "file":
         mask_set = _file_masks(cfg.masks.path, mix_spec.shape[1:])
 
@@ -631,7 +646,7 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
     """Per trial: envelopes, reconstruction, speaker selection. Decodes the
     trials whose enhanced audio is whole, by the ``_trial_spans`` rule that
     ``cmd_evaluate`` scores with."""
-    _check_trial_count(cfg)
+    _check_trial_count(cfg, int(cfg.scene.duration_s * cfg.sample_rate), cfg.sample_rate)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = _read_metadata(scene_dir)
@@ -641,6 +656,7 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
 
     enhanced = _read_enhanced(enhance_dir, n_speakers)
     n = min(map(len, enhanced))
+    _check_trial_count(cfg, n, fs)
     candidate_envs = np.stack(
         [aad.extract_envelope(e[:n], fs, ac.rate) for e in enhanced]
     )
@@ -805,23 +821,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.command == "simulate":
-            cmd_simulate(cfg, args.out)
-        elif args.command == "enhance":
-            _require(args.scene, "--scene")
-            cmd_enhance(cfg, args.scene, args.out)
-        elif args.command == "decode":
-            _require(args.scene, "--scene")
-            _require(args.enhanced, "--enhanced")
-            cmd_decode(cfg, args.scene, args.enhanced, args.out)
-        else:
-            _require(args.scene, "--scene")
-            _require(args.enhanced, "--enhanced")
-            _require(args.decoded, "--decoded")
-            cmd_evaluate(cfg, args.scene, args.enhanced, args.decoded, args.out)
+        with linalg.one_blas_thread():
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            if args.command == "simulate":
+                cmd_simulate(cfg, args.out)
+            elif args.command == "enhance":
+                _require(args.scene, "--scene")
+                cmd_enhance(cfg, args.scene, args.out)
+            elif args.command == "decode":
+                _require(args.scene, "--scene")
+                _require(args.enhanced, "--enhanced")
+                cmd_decode(cfg, args.scene, args.enhanced, args.out)
+            else:
+                _require(args.scene, "--scene")
+                _require(args.enhanced, "--enhanced")
+                _require(args.decoded, "--decoded")
+                cmd_evaluate(cfg, args.scene, args.enhanced, args.decoded, args.out)
     except Exception as exc:  # noqa: BLE001 - single exit point for the CLI
         record = {
             "error": type(exc).__name__,

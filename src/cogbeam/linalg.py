@@ -15,12 +15,16 @@ a 2-core machine that cost about 10x (2000 complex 1000x68 products
 interleaved with scipy 4x4 triangular solves: 22.5 s, against 2.4 s with the
 same solves done by numpy).
 
-``one_blas_thread`` pins numpy's OpenBLAS to one thread while the
-beamformers solve chunks of bins, on a thread pool or on the calling thread.
-OpenBLAS threads gain little on these small products (3 % on a 60 s scene),
-they compete with the pool for the cores, and the bits of a product depend
-on how many of them split it. Pinned, every product runs whole on the
-thread that calls it.
+``one_blas_thread`` pins numpy's OpenBLAS to one thread. The CLI holds the
+pin through every stage, and the beamformers take it again while they solve
+chunks of bins, on a thread pool or on the calling thread, for callers of
+the library; a pin inside another changes nothing. OpenBLAS threads gain
+little on these small products (3 % on a 60 s scene), they compete with the
+pool for the cores, and the bits of a product depend on how many of them
+split it. Threads woken by one stage also keep spinning after it: left
+running by ``simulate``'s products, they slowed the next ``enhance`` in the
+same process by about a quarter on a 2-core machine. Pinned, every product
+runs whole on the thread that calls it.
 """
 
 import contextlib

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from cogbeam import aad, cli, linalg, metrics, scene
+from cogbeam import aad, beamform, cli, linalg, metrics, scene
 from cogbeam.tensorfile import read_tensor, write_tensor
 
 
@@ -36,6 +36,19 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def stage_argvs(cfg_path, root):
+    """The four CLI stages of one pipeline under ``root``, in order."""
+    dirs = {name: str(root / name) for name in ("scene", "enh", "dec", "eval")}
+    stages = [
+        ["simulate", "--out", dirs["scene"]],
+        ["enhance", "--scene", dirs["scene"], "--out", dirs["enh"]],
+        ["decode", "--scene", dirs["scene"], "--enhanced", dirs["enh"], "--out", dirs["dec"]],
+        ["evaluate", "--scene", dirs["scene"], "--enhanced", dirs["enh"],
+         "--decoded", dirs["dec"], "--out", dirs["eval"]],
+    ]
+    return [[argv[0], "--config", str(cfg_path)] + argv[1:] for argv in stages]
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +217,37 @@ class TestConfig:
             cli.cmd_enhance(cfg, missing, tmp_path / "enh")
         with pytest.raises(cli.ConfigError, match="trial_seconds"):
             cli.cmd_decode(cfg, missing, missing, tmp_path / "dec")
+
+    def test_scene_shortened_below_two_trials_refused(self, tmp_path, monkeypatch):
+        # duration_s holds 2.5 trials, but pause shortening leaves 7.5 s of
+        # audio: one whole 4 s trial
+        path = write_config(
+            tmp_path,
+            seed=3,
+            scene={"t60_s": 0.2, "noise_gain": 0.1, "n_mics": 2, "duration_s": 10.0,
+                   "pause_every_s": 1.0, "pause_length_s": 6.0},
+            stft={"frame_length": 128, "hop": 32},
+            beamformer_type="MPDR",
+            aad={"trial_seconds": 4.0},
+        )
+        cfg = cli.load_config(path)
+        cli.cmd_simulate(cfg, tmp_path / "scene")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("beamformed before the trials were counted")
+
+        monkeypatch.setattr(beamform, "mpdr", no_solve)
+        refused = r"7\.502 s hold 1 whole trial.*aad\.trial_seconds 4.*scene\.duration_s 10.*" + (
+            r"scene\.pause_every_s 1, scene\.pause_length_s 6, scene\.max_pause_s 0\.5"
+        )
+        with pytest.raises(cli.ConfigError, match=refused):
+            cli.cmd_enhance(cfg, tmp_path / "scene", tmp_path / "enh")
+        # decode counts the trials of the enhanced audio it reads
+        mics, fs = cli.read_wav(tmp_path / "scene" / "mics.wav")
+        for i in range(2):
+            cli.write_wav(tmp_path / "enh" / f"speaker{i}.wav", mics[i], fs)
+        with pytest.raises(cli.ConfigError, match=refused):
+            cli.cmd_decode(cfg, tmp_path / "scene", tmp_path / "enh", tmp_path / "dec")
 
     def test_readme_defaults_run_all_stages(self, tmp_path):
         # the documented defaults (60 s scene, 30 s trials) scaled down
@@ -489,15 +533,26 @@ class TestEnhance:
         assert np.all(np.isfinite(sig))
 
 
-# Runs enhance in a fresh interpreter; with "one-cpu" the child first limits
-# its affinity to one CPU, before numpy starts OpenBLAS.
-_ENHANCE_CHILD = """
+# Runs a CLI stage in a fresh interpreter; with "one-cpu" the child first
+# limits its affinity to one CPU, before numpy starts OpenBLAS.
+_CLI_CHILD = """
 import os, sys
 if sys.argv[1] == "one-cpu":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from cogbeam.cli import main
 sys.exit(main(sys.argv[2:]))
 """
+
+
+def _child_env(threads):
+    """Environment of a ``_CLI_CHILD`` that imports this cogbeam, with
+    ``OPENBLAS_NUM_THREADS`` set to ``threads``, or unset for None."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -512,16 +567,12 @@ def test_enhance_same_bytes_for_any_blas_threads_and_cpu_count(tmp_path):
         aad={"trial_seconds": 1.0},
     )
     cli.cmd_simulate(cli.load_config(cfg_path), tmp_path / "scene")
-    src = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
     for setting, threads in (("blas-default", None), ("blas-1", "1"), ("one-cpu", None)):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
+        env = _child_env(threads)
         out = tmp_path / setting
         proc = subprocess.run(
-            [sys.executable, "-c", _ENHANCE_CHILD, setting, "enhance", "--config",
+            [sys.executable, "-c", _CLI_CHILD, setting, "enhance", "--config",
              str(cfg_path), "--scene", str(tmp_path / "scene"), "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
@@ -529,6 +580,90 @@ def test_enhance_same_bytes_for_any_blas_threads_and_cpu_count(tmp_path):
         outputs[setting] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert sorted(outputs["blas-default"]) == ["diagnostics.json", "speaker0.wav", "speaker1.wav"]
     assert outputs["blas-default"] == outputs["blas-1"] == outputs["one-cpu"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.skipif(
+    linalg._openblas_threads() is None, reason="numpy's OpenBLAS exposes no thread setting"
+)
+def test_every_stage_same_bytes_for_any_blas_threads_and_cpu_count(tmp_path):
+    cfg_path = write_config(
+        tmp_path,
+        scene={"duration_s": 2.0, "n_mics": 4, "t60_s": 0.5, "noise_gain": 0.1},
+        stft={"frame_length": 128, "hop": 32},
+        aad={"trial_seconds": 1.0},
+    )
+    outputs = {}
+    for setting, threads in (("blas-default", None), ("blas-1", "1"), ("one-cpu", None)):
+        env = _child_env(threads)
+        root = tmp_path / setting
+        for argv in stage_argvs(cfg_path, root):
+            proc = subprocess.run(
+                [sys.executable, "-c", _CLI_CHILD, setting] + argv,
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, (setting, argv[0], proc.stderr)
+        outputs[setting] = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+    first = outputs["blas-default"]
+    assert {"scene/mics.wav", "dec/trials.jsonl", "eval/report.json"} <= first.keys()
+    for setting in ("blas-1", "one-cpu"):
+        assert outputs[setting].keys() == first.keys()
+        assert [name for name in first if outputs[setting][name] != first[name]] == [], setting
+
+
+@pytest.mark.skipif(
+    linalg._openblas_threads() is None, reason="numpy's OpenBLAS exposes no thread setting"
+)
+def test_every_stage_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    get_threads, set_threads = linalg._openblas_threads()
+    before = get_threads()
+    seen = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            entry = [fn.__name__, get_threads()]
+            seen.append(entry)
+            result = fn(*args, **kwargs)
+            entry.append(get_threads())
+            return result
+
+        return call
+
+    for name in ("cmd_simulate", "cmd_enhance", "cmd_decode", "cmd_evaluate"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    # called inside _beamform's own pin, nested in the CLI's
+    monkeypatch.setattr(beamform, "_solve_chunks", recorded(beamform._solve_chunks))
+    cfg_path = write_config(
+        tmp_path,
+        scene={"duration_s": 2.0},
+        stft={"frame_length": 128, "hop": 32},
+        aad={"trial_seconds": 1.0},
+    )
+    argvs = stage_argvs(cfg_path, tmp_path)
+    set_threads(2)
+    try:
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv[0]
+            assert get_threads() == 2, argv[0]
+        # a stage that fails inside the pin
+        failing = ["evaluate", "--config", str(cfg_path), "--scene", str(tmp_path / "scene"),
+                   "--enhanced", str(tmp_path / "enh"), "--decoded", str(tmp_path / "no_dec"),
+                   "--out", str(tmp_path / "no_eval")]
+        assert cli.main(failing) == 1
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert seen == [
+        ["cmd_simulate", 1, 1],
+        ["cmd_enhance", 1, 1],
+        ["_solve_chunks", 1, 1],
+        ["cmd_decode", 1, 1],
+        ["cmd_evaluate", 1, 1],
+        ["cmd_evaluate", 1],
+    ]
 
 
 class TestDecode:
@@ -551,16 +686,8 @@ class TestDecode:
             beamformer_type="MPDR",
             aad={"trial_seconds": 1.0},
         )
-        dirs = {name: str(tmp_path / name) for name in ("scene", "enh", "dec", "eval")}
-        stages = [
-            ["simulate", "--out", dirs["scene"]],
-            ["enhance", "--scene", dirs["scene"], "--out", dirs["enh"]],
-            ["decode", "--scene", dirs["scene"], "--enhanced", dirs["enh"], "--out", dirs["dec"]],
-            ["evaluate", "--scene", dirs["scene"], "--enhanced", dirs["enh"],
-             "--decoded", dirs["dec"], "--out", dirs["eval"]],
-        ]
-        for argv in stages:
-            assert cli.main([argv[0], "--config", str(path)] + argv[1:]) == 0, argv[0]
+        for argv in stage_argvs(path, tmp_path):
+            assert cli.main(argv) == 0, argv[0]
         enhanced, _ = cli.read_wav(tmp_path / "enh" / "speaker0.wav")
         assert enhanced.shape[1] == 47872
         assert len(aad.extract_envelope(enhanced[0], 16000, 64)) == 192
