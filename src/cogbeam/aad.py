@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
+from . import linalg
+
 __all__ = [
     "UndefinedCorrelationError",
     "SpeakerSelection",
@@ -316,9 +318,10 @@ def decode_trials(eeg, candidates, labels, lag_range_ms=(0.0, 250.0), ridge=100.
             f"and {len(labels)} labels"
         )
     lags = _lag_indices(lag_range_ms, rate)
-    per_trial = [_normal_terms(eeg[t], candidates[t][labels[t]], lags) for t in range(n_trials)]
-    selections = []
-    for t, (x, *_) in enumerate(per_trial):
-        w = _ridge_solve([terms[1:] for j, terms in enumerate(per_trial) if j != t], ridge)
-        selections.append(select_speaker(candidates[t], x @ w))
+    with linalg.one_blas_thread():
+        per_trial = [_normal_terms(eeg[t], candidates[t][labels[t]], lags) for t in range(n_trials)]
+        selections = []
+        for t, (x, *_) in enumerate(per_trial):
+            w = _ridge_solve([terms[1:] for j, terms in enumerate(per_trial) if j != t], ridge)
+            selections.append(select_speaker(candidates[t], x @ w))
     return selections

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from ._schema import bound, check
 
 __all__ = [
     "ConvBeamformerConfig",
@@ -114,29 +115,20 @@ class ConvBeamformerConfig:
     wLCMP; in the README's study the default 2 has the highest mean over
     conditions and types of the median fwSSNR gain, and beats 10 rounds in
     every condition and type. ``delta`` is the response level of every
-    interferer constraint (wLCMP, LCMP, LCMV), one value or one per
-    interferer; 0 is a hard null.
+    interferer constraint (wLCMP, LCMP, LCMV), one value shared by all
+    interferers; 0 is a hard null.
     """
 
-    frame_delay: int = 4
-    filter_length_bands: tuple = DEFAULT_FILTER_BANDS
-    iterations: int = 2
-    delta: float = 0.1
-    lambda_floor: float = 1e-10
-    ridge: float = 1e-8
-    reference_mic: int = 0
+    frame_delay: int = bound(4, ge=1)
+    filter_length_bands: tuple[tuple[float, float | None, int], ...] = DEFAULT_FILTER_BANDS
+    iterations: int = bound(2, ge=1)
+    delta: float = bound(0.1, ge=0)
+    lambda_floor: float = bound(1e-10, gt=0)
+    ridge: float = bound(1e-8, ge=0)
+    reference_mic: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.frame_delay < 1:
-            raise ValueError("frame_delay must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if np.any(np.asarray(self.delta) < 0):
-            raise ValueError("delta must be nonnegative")
-        if self.lambda_floor <= 0:
-            raise ValueError("lambda_floor must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        check(self)
         bands = self.filter_length_bands
         if not bands or bands[-1][1] is not None:
             raise ValueError("last filter band must extend to Nyquist (hi=None)")
@@ -347,8 +339,7 @@ def _constraint_set(target, interferers, delta):
     responses: 1 for the target, ``delta`` per interferer."""
     if interferers is None:
         return target[..., None], np.ones(target.shape[:-1] + (1,))
-    deltas = np.broadcast_to(np.asarray(delta, dtype=float), interferers.shape[-1:])
-    response = np.concatenate([[1.0], deltas])
+    response = np.array([1.0] + [delta] * interferers.shape[-1])
     constraints = np.concatenate([target[..., None], interferers], axis=-1)
     return constraints, np.broadcast_to(response, target.shape[:-1] + response.shape)
 

@@ -14,15 +14,16 @@ scene files it uses.
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import scipy.io.wavfile
 
 from . import aad, beamform, linalg, masks, metrics, scene, stft
+from ._schema import bound, check
 from .beamform import ConvBeamformerConfig
 from .metrics import FwssnrConfig
 from .stft import StftConfig
@@ -48,6 +49,7 @@ CONDITION_PRESETS = {
     "reverberant": (0.5, 3.5),
     "reverberant-noisy": (0.5, 0.5),
 }
+_MAX_RATE = 2**32 - 1  # the rate field of a WAV header
 
 
 class ConfigError(ValueError):
@@ -56,89 +58,62 @@ class ConfigError(ValueError):
 
 @dataclass
 class SceneConfig:
-    condition: str = "reverberant-noisy"
-    n_speakers: int = 2
-    n_mics: int = 4
-    duration_s: float = 60.0
-    t60_s: float | None = None  # None: taken from the condition preset
+    condition: Literal[(*CONDITION_PRESETS, "custom")] = "reverberant-noisy"
+    n_speakers: int = bound(2, ge=2)  # decoding selects among the speakers
+    n_mics: int = bound(4, ge=1)
+    duration_s: float = bound(60.0, gt=0)
+    t60_s: float | None = bound(None, ge=0)  # None: taken from the condition preset
     target_input_fwssnr_db: float | None = None
     noise_gain: float = 1.0  # used only when no fwSSNR target applies
-    noise_shape: str = "speech"
-    max_pause_s: float = 0.5
-    pause_every_s: float = 4.0
-    pause_length_s: float = 1.5
+    noise_shape: Literal[scene.NOISE_SHAPES] = "speech"
+    max_pause_s: float = bound(0.5, gt=0)
+    pause_every_s: float = bound(4.0, gt=0)
+    pause_length_s: float = bound(1.5, ge=0)
     direct_to_reverb_db: float = 5.0
     shadow_db: float = 12.0
 
     def __post_init__(self):
-        if self.noise_shape not in scene.NOISE_SHAPES:
-            raise ValueError(
-                f"noise_shape must be one of {scene.NOISE_SHAPES}, got {self.noise_shape!r}"
-            )
-        if self.n_speakers < 2:
-            raise ValueError(
-                f"n_speakers must be at least 2 (decoding selects among the "
-                f"speakers), got {self.n_speakers}"
-            )
-        if self.n_mics < 1:
-            raise ValueError(f"n_mics must be at least 1, got {self.n_mics}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        check(self)
         if self.condition == "custom" and self.t60_s is None:
             raise ValueError(
                 "condition 'custom' has no preset T60: set scene.t60_s to the "
                 "reverberation time in seconds (0 for an anechoic scene)"
             )
-        if not self.max_pause_s > 0:
-            raise ValueError(f"max_pause_s must be positive, got {self.max_pause_s}")
-        if not self.pause_every_s > 0:
-            raise ValueError(f"pause_every_s must be positive, got {self.pause_every_s}")
-        if not self.pause_length_s >= 0:
-            raise ValueError(f"pause_length_s must be at least 0, got {self.pause_length_s}")
-        if self.t60_s is not None and not self.t60_s >= 0:
-            raise ValueError(
-                f"scene.t60_s must be at least 0 s (0 for an anechoic scene), got {self.t60_s}"
-            )
 
 
 @dataclass
 class MaskConfig:
-    source: str = "oracle"
+    source: Literal["oracle", "file"] = "oracle"
     path: str | None = None
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass
 class AadConfig:
-    mode: str = "synth"
-    rate: int = 64
-    channels: int = 16
+    mode: Literal["synth", "file"] = "synth"
+    rate: int = bound(64, ge=1, le=_MAX_RATE)  # load_config holds it to sample_rate
+    channels: int = bound(16, ge=1)
     snr_db: float = 20.0
-    lag_range_ms: tuple = (0.0, 250.0)
-    ridge: float = 100.0
-    trial_seconds: float = 30.0
+    lag_range_ms: tuple[float, float] = (0.0, 250.0)
+    ridge: float = bound(100.0, ge=0)
+    trial_seconds: float = bound(30.0, gt=0)
     attended_speaker: int = 0
     eeg_path: str | None = None
     labels_path: str | None = None
 
     def __post_init__(self):
-        if self.rate < 1:
-            raise ValueError(f"rate must be at least 1 Hz, got {self.rate}")
-        if self.channels < 1:
-            raise ValueError(f"channels must be at least 1, got {self.channels}")
-        if self.trial_seconds <= 0:
-            raise ValueError(f"trial_seconds must be positive, got {self.trial_seconds}")
-        if len(self.lag_range_ms) != 2 or not 0 <= self.lag_range_ms[0] <= self.lag_range_ms[1]:
-            raise ValueError(
-                f"lag_range_ms must be [lo, hi] with 0 <= lo <= hi, got {list(self.lag_range_ms)}"
-            )
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        check(self)
+        lo, hi = self.lag_range_ms
+        if not 0 <= lo <= hi:
+            raise ValueError(f"lag_range_ms must be [lo, hi] with 0 <= lo <= hi, got {[lo, hi]}")
         # A trial's reconstruction holds its samples minus the lag window, and
         # the correlation that selects a speaker needs two of them. sosfiltfilt
         # pads the one-section filter of the synthetic EEG by 3 * (2 + 1) = 9
         # samples at each end and needs a longer trial.
-        per_trial = round(self.trial_seconds * self.rate)
-        lag_window = int(aad._lag_indices(self.lag_range_ms, self.rate)[-1]) + 1
+        per_trial = round(_samples("trial_seconds", self.trial_seconds, self.rate))
+        lag_window = round(_samples("lag_range_ms", hi, self.rate, 1e-3)) + 1
         if per_trial <= max(lag_window, 9):
             raise ValueError(
                 f"trial_seconds {self.trial_seconds:g} gives {per_trial} samples at rate "
@@ -150,39 +125,46 @@ class AadConfig:
 
 @dataclass
 class PipelineConfig:
-    seed: int
-    sample_rate: int = 16000
+    seed: int = bound(ge=0)
+    # above twice the 500 Hz cutoff of scene.speech_shape_filter
+    sample_rate: int = bound(16000, gt=1000, le=_MAX_RATE)
     scene: SceneConfig = field(default_factory=SceneConfig)
     stft: StftConfig = field(default_factory=StftConfig)
-    beamformer_type: str = "wMPDR"
+    beamformer_type: Literal[BEAMFORMER_TYPES] = "wMPDR"
     beamformer: ConvBeamformerConfig = field(default_factory=ConvBeamformerConfig)
     masks: MaskConfig = field(default_factory=MaskConfig)
     aad: AadConfig = field(default_factory=AadConfig)
     metrics: FwssnrConfig = field(default_factory=FwssnrConfig)
 
+    def __post_init__(self):
+        check(self)
+
+
+def _samples(key, value, rate, scale=1):
+    """``value * scale * rate`` samples, refused naming ``key`` beyond the float range."""
+    count = value * scale * rate
+    if not abs(count) <= sys.float_info.max:
+        raise ConfigError(f"{key} {value:g} gives more samples at {rate} Hz than a float holds")
+    return count
+
+
+def _config(cls, values, where=""):
+    """``cls(**values)``, its refusal raised as a ConfigError after ``where``."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc}") from None
+
 
 def _build(section_cls, data, name):
-    if data is None:
-        return section_cls()
-    if not isinstance(data, dict):
+    if not isinstance(data, dict | None):
         raise ConfigError(f"section {name!r} must be an object")
-    for f in fields(section_cls):
-        if f.name not in data:
-            continue
-        if f.type is int:
-            _integer(data[f.name], f"section {name!r}: {f.name}")
-        elif f.type in (float, float | None):
-            _number(data[f.name], f"section {name!r}: {f.name}", nullable=f.type != float)
-    try:
-        return section_cls(**{k: _tupled(v) for k, v in data.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from None
+    values = {k: _tupled(v) for k, v in (data or {}).items()}
+    return _config(section_cls, values, f"section {name!r}: ")
 
 
 def _tupled(value):
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
+    return tuple(map(_tupled, value)) if isinstance(value, list) else value
 
 
 def load_config(path):
@@ -192,7 +174,7 @@ def load_config(path):
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text, or an integer too long to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -210,73 +192,54 @@ def load_config(path):
             "reference microphone comes from reference_mics in the scene's "
             "metadata.json; remove the key"
         )
-    cfg = PipelineConfig(
-        seed=_integer(raw["seed"], "seed"),
-        sample_rate=_integer(raw.get("sample_rate", 16000), "sample_rate"),
-        scene=_build(SceneConfig, raw.get("scene"), "scene"),
-        stft=_build(StftConfig, raw.get("stft"), "stft"),
-        beamformer_type=raw.get("beamformer_type", "wMPDR"),
-        beamformer=_build(ConvBeamformerConfig, raw.get("beamformer"), "beamformer"),
-        masks=_build(MaskConfig, raw.get("masks"), "masks"),
-        aad=_build(AadConfig, raw.get("aad"), "aad"),
-        metrics=_build(FwssnrConfig, raw.get("metrics"), "metrics"),
-    )
-    nyquist = cfg.sample_rate / 2
-    if nyquist <= 500:  # scene.speech_shape_filter's cutoff
-        raise ConfigError(f"sample_rate must exceed 1000 Hz, got {cfg.sample_rate}")
+    sections = {f.name: f.type for f in fields(PipelineConfig) if is_dataclass(f.type)}
+    values = {k: _build(sections[k], v, k) if k in sections else v for k, v in raw.items()}
+    cfg = _config(PipelineConfig, values)
+    fs = cfg.sample_rate
+    nyquist = fs / 2
     lo, hi = cfg.metrics.band_range_hz
     if lo >= nyquist or (hi is not None and hi > nyquist):
         raise ConfigError(f"metrics.band_range_hz {[lo, hi]} must lie within [0, {nyquist:g}] Hz")
-    if cfg.aad.rate > cfg.sample_rate:  # envelopes are resampled down to it
-        raise ConfigError(f"aad.rate {cfg.aad.rate} must not exceed sample_rate {cfg.sample_rate}")
+    if cfg.aad.rate > fs:  # envelopes are resampled down to it
+        raise ConfigError(f"aad.rate {cfg.aad.rate} must not exceed sample_rate {fs}")
+    t60 = _t60_and_target(cfg.scene)[0]
+    n_samples = int(_samples("scene.duration_s", cfg.scene.duration_s, fs))
+    _samples("aad.trial_seconds", cfg.aad.trial_seconds, fs)
+    fw_frame = round(_samples("metrics.frame_ms", cfg.metrics.frame_ms, fs, 1e-3))
+    _samples("scene.t60_s", t60, fs)
     # the scene is analyzed in STFT frames and scored in fwSSNR frames, and
-    # each trial is scored in fwSSNR frames
-    fw_frame = round(cfg.metrics.frame_ms * 1e-3 * cfg.sample_rate)
-    if fw_frame < 3 or not metrics._band_matrix(cfg.metrics, fw_frame, cfg.sample_rate).any():
-        raise ConfigError(
-            f"metrics.frame_ms {cfg.metrics.frame_ms:g} gives a {fw_frame}-sample fwSSNR frame "
-            f"at sample_rate {cfg.sample_rate}; a frame needs at least 3 samples (a shorter "
-            "Hann window is all zero) and a frequency bin inside a band of "
-            f"metrics.band_range_hz {list(cfg.metrics.band_range_hz)}: lengthen the frame"
-        )
+    # each trial is scored in fwSSNR frames; checked before the band matrix
+    # below is built at the fwSSNR frame's length
     for key, seconds, frame, frame_name in [
         ("scene.duration_s", cfg.scene.duration_s, cfg.stft.frame_length, "stft.frame_length"),
         ("scene.duration_s", cfg.scene.duration_s, fw_frame, "metrics.frame_ms"),
         ("aad.trial_seconds", cfg.aad.trial_seconds, fw_frame, "metrics.frame_ms"),
     ]:
-        if seconds * cfg.sample_rate < frame:
+        if seconds * fs < frame:
             raise ConfigError(
-                f"{key} {seconds:g} gives {seconds * cfg.sample_rate:g} samples at sample_rate "
-                f"{cfg.sample_rate}, shorter than the {frame}-sample frame of {frame_name}"
+                f"{key} {seconds:g} gives {seconds * fs:g} samples at sample_rate "
+                f"{fs}, shorter than the {frame}-sample frame of {frame_name}"
             )
-    if cfg.beamformer_type not in BEAMFORMER_TYPES:
+    if fw_frame < 3 or not metrics._band_matrix(cfg.metrics, fw_frame, fs).any():
         raise ConfigError(
-            f"beamformer_type must be one of {BEAMFORMER_TYPES}, "
-            f"got {cfg.beamformer_type!r}"
+            f"metrics.frame_ms {cfg.metrics.frame_ms:g} gives a {fw_frame}-sample fwSSNR frame "
+            f"at sample_rate {fs}; a frame needs at least 3 samples (a shorter "
+            "Hann window is all zero) and a frequency bin inside a band of "
+            f"metrics.band_range_hz {list(cfg.metrics.band_range_hz)}: lengthen the frame"
         )
-    if cfg.scene.condition not in CONDITION_PRESETS and cfg.scene.condition != "custom":
-        raise ConfigError(f"unknown scene condition {cfg.scene.condition!r}")
     # simulate cuts the sources to int(duration_s * sample_rate) samples,
     # and render needs them longer than the impulse responses
-    t60 = _t60_and_target(cfg.scene)[0]
-    taps = scene._ir_taps(cfg.sample_rate, t60)[2]
-    n_samples = int(cfg.scene.duration_s * cfg.sample_rate)
+    taps = scene._ir_taps(fs, t60)[2]
     if n_samples <= taps:
         raise ConfigError(
             f"scene.duration_s {cfg.scene.duration_s:g} gives {n_samples} samples at "
-            f"sample_rate {cfg.sample_rate}, not more than the {taps} taps of the T60 "
+            f"sample_rate {fs}, not more than the {taps} taps of the T60 "
             f"{t60:g} s room impulse responses: lengthen the scene or shorten scene.t60_s"
         )
-    if cfg.masks.source not in ("oracle", "file"):
-        raise ConfigError("masks.source must be 'oracle' or 'file'")
     if cfg.masks.source == "file":
         if not cfg.masks.path or not Path(cfg.masks.path).exists():
             raise ConfigError(f"mask file not found: {cfg.masks.path}")
-    if cfg.aad.mode not in ("synth", "file"):
-        raise ConfigError("aad.mode must be 'synth' or 'file'")
-    if cfg.aad.mode == "synth" and not _is_speaker_index(
-        cfg.aad.attended_speaker, cfg.scene.n_speakers
-    ):
+    if cfg.aad.mode == "synth" and not 0 <= cfg.aad.attended_speaker < cfg.scene.n_speakers:
         raise ConfigError(
             f"aad.attended_speaker {cfg.aad.attended_speaker} must be a speaker index "
             f"in [0, {cfg.scene.n_speakers}) (scene.n_speakers)"
@@ -287,28 +250,6 @@ def load_config(path):
             if not p or not Path(p).exists():
                 raise ConfigError(f"aad.{key} not found: {p}")
     return cfg
-
-
-def _integer(value, name):
-    """``value``, which must be a JSON integer: ``int()`` would truncate 1.7
-    and read true as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be a JSON integer, got {json.dumps(value)}")
-    return value
-
-
-def _number(value, name, nullable):
-    """``value``, which must be a finite JSON number, or null if ``nullable``:
-    a bool, a string or NaN would otherwise reach the stage that uses it."""
-    if value is None and nullable:
-        return value
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
-        raise ConfigError(f"{name} must be a finite JSON number, got {json.dumps(value)}")
-    return value
 
 
 def _is_speaker_index(value, n_speakers):
@@ -697,6 +638,11 @@ def cmd_decode(cfg, scene_dir, enhance_dir, out_dir):
                 f"got {bad[:5]}"
             )
     n_trials = min(len(spans), len(eeg))
+    if ac.mode == "file" and n_trials < 2:
+        raise ConfigError(
+            f"aad.eeg_path {ac.eeg_path} gives {n_trials} usable trial(s) of the two that "
+            f"leave-one-out decoding needs ({len(eeg)} in the file, {len(spans)} in the audio)"
+        )
     selections = aad.decode_trials(
         eeg[:n_trials],
         [candidate_envs[:, lo:hi] for lo, hi in spans[:n_trials]],
@@ -824,7 +770,7 @@ def main(argv=None):
         with linalg.one_blas_thread():
             cfg = load_config(args.config)
             if args.seed is not None:
-                cfg.seed = args.seed
+                cfg = _config(PipelineConfig, {**vars(cfg), "seed": args.seed}, "--seed: ")
             if args.command == "simulate":
                 cmd_simulate(cfg, args.out)
             elif args.command == "enhance":

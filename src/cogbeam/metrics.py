@@ -9,13 +9,13 @@ variant, so relative numbers are self-consistent.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from ._schema import bound, check
 from .stft import _frame_blocks
 
 __all__ = [
@@ -37,43 +37,22 @@ PUBLISHED_CHANCE_BOUND_PCT = {40: 61.39, 20: 66.19}
 
 @dataclass(frozen=True)
 class FwssnrConfig:
-    frame_ms: float = 32.0
-    overlap: float = 0.75
-    n_bands: int = 25
-    band_range_hz: tuple = (50.0, None)  # None = Nyquist
-    clamp_db: tuple = (-10.0, 35.0)
+    frame_ms: float = bound(32.0, gt=0)
+    overlap: float = bound(0.75, ge=0, lt=1)  # at 1 every sample would start a frame
+    n_bands: int = bound(25, ge=1, le=1024)  # load_config builds a band matrix row per band
+    band_range_hz: tuple[float, float | None] = (50.0, None)  # None = Nyquist
+    clamp_db: tuple[float, float] = (-10.0, 35.0)
     weight_exponent: float = 0.2
     active_range_db: float = 35.0  # frames this far below the peak are skipped
 
     def __post_init__(self):
-        if not self.frame_ms > 0:
-            raise ValueError(f"frame_ms must be positive, got {self.frame_ms}")
-        # at overlap 1 every sample would start a frame
-        if not 0 <= self.overlap < 1:
-            raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
-        # the lower band edge would otherwise reach the filterbank as NaN or
-        # above the upper edge, which leaves every band empty
-        lo, hi = _finite_pair(self.band_range_hz, "band_range_hz", upper_nullable=True)
+        check(self)
+        # above the upper edge, the lower one would leave every band empty
+        lo, hi = self.band_range_hz
         if not 0 <= lo < (math.inf if hi is None else hi):
             raise ValueError(f"band_range_hz must satisfy 0 <= lo < hi, got {[lo, hi]}")
-        lo, hi = _finite_pair(self.clamp_db, "clamp_db")
-        if lo >= hi:
-            raise ValueError(f"clamp_db must satisfy lo < hi, got {[lo, hi]}")
-        if self.n_bands < 1:
-            raise ValueError("need at least one band")
-
-
-def _finite_pair(value, name, upper_nullable=False):
-    """``value`` as (lo, hi), two finite numbers; hi may be None if ``upper_nullable``."""
-    finite = [
-        (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v))
-        or (v is None and upper_nullable and i == 1)
-        for i, v in enumerate(value if isinstance(value, (tuple, list)) else [value])
-    ]
-    if finite != [True, True]:
-        upper = " (the upper one may be null)" if upper_nullable else ""
-        raise ValueError(f"{name} must be [lo, hi], two finite numbers{upper}, got {value!r}")
-    return value
+        if self.clamp_db[0] >= self.clamp_db[1]:
+            raise ValueError(f"clamp_db must satisfy lo < hi, got {list(self.clamp_db)}")
 
 
 def _hz_to_mel(f):

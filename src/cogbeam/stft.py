@@ -11,17 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import bound, check
+
 __all__ = ["StftConfig", "analyze", "synthesize"]
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    frame_length: int = 512
-    hop: int = 128
+    frame_length: int = bound(512, gt=0)
+    hop: int = bound(128, gt=0)
 
     def __post_init__(self):
-        if self.frame_length <= 0 or self.hop <= 0:
-            raise ValueError("frame_length and hop must be positive")
+        check(self)
         if self.frame_length % self.hop != 0:
             raise ValueError(
                 f"hop {self.hop} must divide frame_length {self.frame_length}"

@@ -3,13 +3,16 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cogbeam import aad, beamform, cli, linalg, metrics, scene
+from cogbeam import _schema, aad, beamform, cli, linalg, metrics, scene
 from cogbeam.tensorfile import read_tensor, write_tensor
 
 
@@ -139,7 +142,8 @@ class TestConfig:
     @pytest.mark.parametrize("condition", ["custom", "reverberant-noisy"])
     def test_negative_t60_refused(self, tmp_path, condition):
         path = write_config(tmp_path, scene={"condition": condition, "t60_s": -0.1})
-        with pytest.raises(cli.ConfigError, match=r"scene\.t60_s must be at least 0"):
+        message = r"^section 'scene': t60_s must be at least 0, got -0\.1$"
+        with pytest.raises(cli.ConfigError, match=message):
             cli.load_config(path)
 
     @pytest.mark.parametrize(
@@ -189,7 +193,7 @@ class TestConfig:
             ({"lag_range_ms": [0, 50], "trial_seconds": 0.125}, r"trial_seconds 0.125 gives 8 samples .* 9-sample padding"),
             ({"lag_range_ms": [300, 100]}, r"lag_range_ms must be \[lo, hi\] with 0 <= lo <= hi"),
             ({"lag_range_ms": [-10, 100]}, r"lag_range_ms .* 0 <= lo <= hi, got \[-10, 100\]"),
-            ({"ridge": -1}, r"ridge must be >= 0, got -1"),
+            ({"ridge": -1}, r"ridge must be at least 0, got -1"),
         ],
     )
     def test_aad_bounds_refused_at_load(self, tmp_path, aad_cfg, message):
@@ -742,6 +746,45 @@ class TestDecode:
         with pytest.raises(cli.ConfigError, match="one 7.5-second trial"):
             cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "dec")
 
+    @pytest.mark.parametrize("n_eeg", [0, 1])
+    def test_file_mode_needs_two_usable_trials(self, pipeline, tmp_path, monkeypatch, n_eeg):
+        # one trial failed in aad with "need at least one training trial"; none
+        # wrote an empty trials.jsonl that evaluate then refused
+        root, _, _ = pipeline
+        cfg = self.file_mode_config(tmp_path, np.zeros((n_eeg, 16, 96)), [0] * n_eeg)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the trials were counted")
+
+        monkeypatch.setattr(aad, "decode_trials", no_training)
+        message = (
+            rf"^aad\.eeg_path {re.escape(str(tmp_path / 'eeg.cbtf'))} gives {n_eeg} usable "
+            rf"trial\(s\) of the two that leave-one-out decoding needs \({n_eeg} in the file, 4 "
+        )
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / "dec")
+        assert not (tmp_path / "dec" / "trials.jsonl").exists()
+
+    @pytest.mark.skipif(
+        linalg._openblas_threads() is None, reason="numpy's OpenBLAS exposes no thread setting"
+    )
+    def test_same_bytes_when_called_at_two_blas_threads(self, pipeline, tmp_path):
+        # called directly, outside cli.main's pin, decoding ran on the caller's
+        # BLAS threads and the correlations differed in their last digits
+        root, cfg, _ = pipeline
+        get_threads, set_threads = linalg._openblas_threads()
+        before = get_threads()
+        written = []
+        try:
+            for threads in (2, 1):
+                set_threads(threads)
+                cli.cmd_decode(cfg, root / "scene", root / "enh", tmp_path / str(threads))
+                assert get_threads() == threads
+                written.append((tmp_path / str(threads) / "trials.jsonl").read_bytes())
+        finally:
+            set_threads(before)
+        assert written[0] == written[1]
+
     @staticmethod
     def file_mode_config(tmp_path, eeg, labels, trial_seconds=1.5):
         write_tensor(tmp_path / "eeg.cbtf", eeg)
@@ -941,6 +984,17 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         meta = json.loads((tmp_path / "s2" / "metadata.json").read_text())
         assert meta["seed"] == 99
+
+
+    def test_negative_seed_override_refused_before_rendering(self, tmp_path, capsys):
+        # simulate failed with "expected non-negative integer" from SeedSequence
+        argv = ["simulate", "--config", str(write_config(tmp_path)),
+                "--out", str(tmp_path / "scene"), "--seed", "-1"]
+        assert cli.main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert record["message"] == "--seed: seed must be at least 0, got -1"
+        assert not (tmp_path / "scene").exists()
 
 
 class TestReadWav:
@@ -1220,7 +1274,8 @@ class TestConfigTypes:
         # 0 and 1000 loaded, then simulate failed designing the 500 Hz low-pass
         # of scene.speech_shape_filter
         path = write_config(tmp_path, sample_rate=sample_rate)
-        with pytest.raises(cli.ConfigError, match=r"^sample_rate must exceed 1000 Hz, got "):
+        message = rf"^sample_rate must be in \(1000, 4294967295\], got {sample_rate}$"
+        with pytest.raises(cli.ConfigError, match=message):
             cli.load_config(path)
 
     def test_eeg_rate_above_sample_rate_refused(self, tmp_path):
@@ -1231,3 +1286,142 @@ class TestConfigTypes:
             cli.load_config(path)
         cfg = cli.load_config(write_config(tmp_path, sample_rate=8000, aad={"rate": 8000}))
         assert cfg.aad.rate == cfg.sample_rate
+
+
+# A JSON number no Python float holds, written into a config's text by
+# _write_raw in place of this string.
+OVERFLOW = "1e400"
+
+
+def _write_raw(path, overrides):
+    """The test config with ``overrides``, {key path: value}, applied; a key
+    path names a top-level key or a section's key."""
+    cfg = json.loads(write_config(path.parent, path.name).read_text())
+    for keys, value in overrides.items():
+        target = cfg
+        for key in keys[:-1]:
+            target = target.setdefault(key, {}) if isinstance(target.get(key, {}), dict) else {}
+        target[keys[-1]] = value
+    path.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), OVERFLOW))
+    return path
+
+
+# Each escaped load_config with a bare exception or loaded and failed in a stage.
+ESCAPES = [
+    # OverflowError
+    ({("aad", "lag_range_ms"): [0, OVERFLOW]},
+     r"^section 'aad': lag_range_ms must be \[lo, hi\], two finite numbers, got \[0, Infinity\]$"),
+    # IndexError
+    ({("beamformer", "filter_length_bands"): [[0]]},
+     r"^section 'beamformer': filter_length_bands must be a list of \[lo, hi, taps\] with finite "
+     r"lo, hi or null, and integer taps, got \[\[0\]\]$"),
+    # TypeError
+    ({("masks", "path"): 5}, r"^section 'masks': path must be a JSON string, got 5$"),
+    ({("aad", "eeg_path"): 3}, r"^section 'aad': eeg_path must be a JSON string, got 3$"),
+    # TypeError in enhance
+    ({("beamformer", "filter_length_bands"): [[0, None, 8.5]]},
+     r"^section 'beamformer': filter_length_bands must be a list of .* got \[\[0, null, 8\.5\]\]$"),
+    # "expected non-negative integer" in simulate
+    ({("seed",): -1}, r"^seed must be at least 0, got -1$"),
+    # OverflowError: sample counts beyond the float range
+    ({("metrics", "frame_ms"): 1e308},
+     r"^metrics\.frame_ms 1e\+308 gives more samples at 16000 Hz than a float holds$"),
+    ({("scene", "duration_s"): 1e308},
+     r"^scene\.duration_s 1e\+308 gives more samples at 16000 Hz than a float holds$"),
+    ({("scene", "t60_s"): 1e308},
+     r"^scene\.t60_s 1e\+308 gives more samples at 16000 Hz than a float holds$"),
+    ({("aad", "trial_seconds"): 1e308},
+     r"^section 'aad': trial_seconds 1e\+308 gives more samples at 64 Hz than a float holds$"),
+    ({("sample_rate",): 10**400}, r"^sample_rate must be in \(1000, 4294967295\], got 10{400}$"),
+    # ValueError out of numpy's linspace in the load-time band matrix
+    ({("metrics", "n_bands"): 10**400}, r"^section 'metrics': n_bands must be in \[1, 1024\], got "),
+    # a 1e10 ms frame asked numpy for an 8e10-bin band matrix before the scene
+    # length was compared with it
+    ({("metrics", "frame_ms"): 1e10},
+     r"^scene\.duration_s 6 gives 96000 samples at sample_rate 16000, shorter than the "
+     r"160000000000-sample frame of metrics\.frame_ms$"),
+]
+
+# Values for any key: inside and outside the bounds, of each JSON type, and
+# beyond the float range.
+ANY_VALUE = st.one_of(
+    st.sampled_from(
+        [None, True, False, "", "speech", "white", "custom", "reverberant", "oracle", "file",
+         "synth", "wLCMP", "MVDR", -1, 0, 1, 2, 3, 4, 8, 0.5, 1.5, 0.75, 1.0, 1024, 1025,
+         2**32, 2**63, 10**400, 1e308, -1e308, 1e-300, OVERFLOW, float("nan"), float("inf"),
+         [], [0], [0, None], [50, 1000], [300, 100], [-1, 5], [0, OVERFLOW], [1, 2, 3],
+         [[0, None, 8]], [[0]], [[0, None, 8.5]], [[0, 800, 20], [800, None, 2]], {}, {"x": 1}]
+    ),
+    st.integers(-10, 2000),
+    st.floats(-1e4, 1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+KEY_PATHS = [("seed",), ("sample_rate",), ("beamformer_type",)] + [
+    (f.name,) + key
+    for f in fields(cli.PipelineConfig)
+    if is_dataclass(f.type)
+    for key in [()] + [(g.name,) for g in fields(f.type) if g.name != "reference_mic"]
+]
+
+
+def _escape_examples(test):
+    """``test`` with each of ESCAPES as an explicit hypothesis example."""
+    for overrides, _ in ESCAPES:
+        test = example(overrides=overrides)(test)
+    return test
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("overrides, message", ESCAPES)
+    def test_escapes_refused_at_load(self, tmp_path, overrides, message):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(_write_raw(tmp_path / "cfg.json", overrides))
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(overrides=st.dictionaries(st.sampled_from(KEY_PATHS), ANY_VALUE, max_size=3))
+    @example(overrides={})
+    @example(overrides={("scene", "duration_s"): 10**400})
+    @example(overrides={("aad", "lag_range_ms"): [0, 1e300]})
+    @example(overrides={("aad", "rate"): 10**400})
+    @example(overrides={("stft", "frame_length"): 2**63})
+    @example(overrides={("scene",): 5, ("aad",): []})
+    @_escape_examples
+    def test_every_config_loads_or_is_refused(self, config_dir, overrides):
+        # a drawn config either loads or raises ConfigError, and nothing else
+        path = _write_raw(config_dir / "cfg.json", overrides)
+        try:
+            cli.load_config(path)
+        except cli.ConfigError:
+            pass
+
+    def test_readme_block_is_the_schema(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("### Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```")[0]
+        comments = {}
+        section = None
+        for line in block.splitlines():
+            if m := re.match(r'\s*"(\w+)": (.*?),?\s*(?://\s*(.*))?$', line):
+                key, value, comment = m.groups()
+                section = key if value == "{" else section
+                comments[(section, key) if value != "{" and line.startswith("    ") else key] = (
+                    comment or ""
+                )
+        raw = json.loads(re.sub(r"//.*", "", block))
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(raw))
+        assert cli.load_config(path) == cli.PipelineConfig(seed=raw["seed"])
+        # every key is in the block, and its comment states the field's bound
+        for cls, prefix in [(cli.PipelineConfig, None)] + [
+            (f.type, f.name) for f in fields(cli.PipelineConfig) if is_dataclass(f.type)
+        ]:
+            for f in fields(cls):
+                if is_dataclass(f.type) or f.name == "reference_mic":
+                    continue
+                comment = comments[(prefix, f.name) if prefix else f.name]
+                if "limits" in f.metadata:
+                    assert _schema._rule(f.metadata["limits"]) in comment, (prefix, f.name)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
