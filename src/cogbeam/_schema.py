@@ -15,7 +15,6 @@ _NAMES = {
     float: "a finite JSON number",
     str: "a JSON string",
     tuple[float, float]: "[lo, hi], two finite numbers",
-    tuple[float, float | None]: "[lo, hi], two finite numbers (the upper one may be null)",
     tuple[float, float | None, int]: "[lo, hi, taps] with finite lo, hi or null, and integer taps",
 }
 

@@ -241,22 +241,18 @@ def _gram(frames, weights, total, buffer=None):
     return linalg.hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ frames) / total)
 
 
-def weighted_correlations(stacked, lam, n_channels, buffer=None):
-    """Variance-weighted sample correlations of stacked observations.
+def weighted_correlations(stacked, lam, buffer=None):
+    """Variance-weighted sample correlation of stacked observations.
 
-    ``stacked`` is (..., K, D) and ``lam`` (..., K). Returns
-    ``(r_delay, p_cross, r_full)`` where ``r_full`` averages
-    ``stacked_k stacked_k^H / lam_k`` over frames, ``r_delay`` is its
-    delayed-frames block and ``p_cross`` the delayed-to-current block.
-    Hermitian parts are symmetrized. ``buffer``, when given, is a flat
-    complex array that holds the variance-scaled conjugate of the frames.
+    ``stacked`` is (..., K, D) and ``lam`` (..., K). Returns the Hermitian
+    (..., D, D) average of ``stacked_k stacked_k^H / lam_k`` over frames.
+    ``buffer``, when given, is a flat complex array that holds the
+    variance-scaled conjugate of the frames.
     """
     stacked = np.asarray(stacked)
     # numpy divides complex by real as a product with the reciprocal; the
     # explicit product gives the same bits at half the cost
-    r_full = _gram(stacked, 1.0 / np.asarray(lam, dtype=float), stacked.shape[-2], buffer)
-    m = n_channels
-    return r_full[..., m:, m:], r_full[..., m:, :m], r_full
+    return _gram(stacked, 1.0 / np.asarray(lam, dtype=float), stacked.shape[-2], buffer)
 
 
 def dereverberate(frames, stacked, derev):
@@ -367,7 +363,7 @@ def _round(shared, per_speaker, lam, cfg, scaled=None):
     if "stacked" in shared:
         stacked = shared["stacked"]
         # the one scaled buffer serves the speakers in turn
-        grams = [weighted_correlations(stacked, lam_s, m, scaled)[2] for lam_s in lam]
+        grams = [weighted_correlations(stacked, lam_s, scaled) for lam_s in lam]
         r_full = np.stack(grams) if len(grams) > 1 else grams[0][None]
         derev = linalg.hermitian_solve(r_full[..., m:, m:], r_full[..., m:, :m], cfg.ridge)
         d = dereverberate(y, stacked, derev)
@@ -376,7 +372,7 @@ def _round(shared, per_speaker, lam, cfg, scaled=None):
         cov, target = shared["noise_cov"], per_speaker["steering"]
         interferers = per_speaker.get("interferer_steering")
     else:
-        cov = weighted_correlations(d, lam, m)[2]
+        cov = weighted_correlations(d, lam)
         ref = per_speaker["reference_mic"]
         target = estimate_retf(d, per_speaker["mask"], ref, cfg.ridge)
         interferers = None

@@ -25,7 +25,6 @@ import scipy.io.wavfile
 from . import aad, beamform, linalg, masks, metrics, scene, stft
 from ._schema import bound, check
 from .beamform import ConvBeamformerConfig
-from .metrics import FwssnrConfig
 from .stft import StftConfig
 from .tensorfile import read_tensor, write_tensor
 
@@ -121,6 +120,15 @@ class AadConfig:
                 f"window of lag_range_ms {list(self.lag_range_ms)} and the 9-sample "
                 "padding of the EEG filter"
             )
+        # decode cuts EEG trials of whole samples and evaluate scores audio
+        # trials of trial_seconds: they cover the same time only when a trial
+        # is a whole number of EEG samples
+        count = self.trial_seconds * self.rate
+        if abs(count - per_trial) > 1e-9 * count:
+            raise ValueError(
+                f"trial_seconds {self.trial_seconds!r} gives {count!r} samples at rate "
+                f"{self.rate} Hz, not a whole number: make it a multiple of 1 / rate"
+            )
 
 
 @dataclass
@@ -134,7 +142,6 @@ class PipelineConfig:
     beamformer: ConvBeamformerConfig = field(default_factory=ConvBeamformerConfig)
     masks: MaskConfig = field(default_factory=MaskConfig)
     aad: AadConfig = field(default_factory=AadConfig)
-    metrics: FwssnrConfig = field(default_factory=FwssnrConfig)
 
     def __post_init__(self):
         check(self)
@@ -196,37 +203,25 @@ def load_config(path):
     values = {k: _build(sections[k], v, k) if k in sections else v for k, v in raw.items()}
     cfg = _config(PipelineConfig, values)
     fs = cfg.sample_rate
-    nyquist = fs / 2
-    lo, hi = cfg.metrics.band_range_hz
-    if lo >= nyquist or (hi is not None and hi > nyquist):
-        raise ConfigError(f"metrics.band_range_hz {[lo, hi]} must lie within [0, {nyquist:g}] Hz")
     if cfg.aad.rate > fs:  # envelopes are resampled down to it
         raise ConfigError(f"aad.rate {cfg.aad.rate} must not exceed sample_rate {fs}")
     t60 = _t60_and_target(cfg.scene)[0]
     n_samples = int(_samples("scene.duration_s", cfg.scene.duration_s, fs))
     _samples("aad.trial_seconds", cfg.aad.trial_seconds, fs)
-    fw_frame = round(_samples("metrics.frame_ms", cfg.metrics.frame_ms, fs, 1e-3))
     _samples("scene.t60_s", t60, fs)
     # the scene is analyzed in STFT frames and scored in fwSSNR frames, and
-    # each trial is scored in fwSSNR frames; checked before the band matrix
-    # below is built at the fwSSNR frame's length
+    # each trial is scored in fwSSNR frames
+    fw_frame = metrics._frame_length(fs)
     for key, seconds, frame, frame_name in [
         ("scene.duration_s", cfg.scene.duration_s, cfg.stft.frame_length, "stft.frame_length"),
-        ("scene.duration_s", cfg.scene.duration_s, fw_frame, "metrics.frame_ms"),
-        ("aad.trial_seconds", cfg.aad.trial_seconds, fw_frame, "metrics.frame_ms"),
+        ("scene.duration_s", cfg.scene.duration_s, fw_frame, "the fwSSNR measure"),
+        ("aad.trial_seconds", cfg.aad.trial_seconds, fw_frame, "the fwSSNR measure"),
     ]:
         if seconds * fs < frame:
             raise ConfigError(
                 f"{key} {seconds:g} gives {seconds * fs:g} samples at sample_rate "
                 f"{fs}, shorter than the {frame}-sample frame of {frame_name}"
             )
-    if fw_frame < 3 or not metrics._band_matrix(cfg.metrics, fw_frame, fs).any():
-        raise ConfigError(
-            f"metrics.frame_ms {cfg.metrics.frame_ms:g} gives a {fw_frame}-sample fwSSNR frame "
-            f"at sample_rate {fs}; a frame needs at least 3 samples (a shorter "
-            "Hann window is all zero) and a frequency bin inside a band of "
-            f"metrics.band_range_hz {list(cfg.metrics.band_range_hz)}: lengthen the frame"
-        )
     # simulate cuts the sources to int(duration_s * sample_rate) samples,
     # and render needs them longer than the impulse responses
     taps = scene._ir_taps(fs, t60)[2]
@@ -370,7 +365,7 @@ def cmd_simulate(cfg, out_dir):
     else:
         # the calibration's own scores at its gain: the input fwSSNR of the
         # calibrated scene up to rounding, with no framing of its signals
-        objective = scene._input_fwssnr_of_gain(unit, cfg.metrics, ref_mics)
+        objective = scene._input_fwssnr_of_gain(unit, ref_mics)
         gain = scene.calibrate_noise_gain(objective, target)
         per_speaker = objective.per_speaker(gain)
         del objective
@@ -386,10 +381,7 @@ def cmd_simulate(cfg, out_dir):
     write_tensor(out / "irs_anechoic.cbtf", anech)
 
     if per_speaker is None:
-        per_speaker = [
-            metrics.input_fwssnr(rendered, i, cfg.metrics, fs, ref_mics[i])
-            for i in range(sc.n_speakers)
-        ]
+        per_speaker = [metrics.input_fwssnr(rendered, i, mic) for i, mic in enumerate(ref_mics)]
     meta = {
         "seed": cfg.seed,
         "sample_rate": fs,
@@ -699,7 +691,7 @@ def cmd_evaluate(cfg, scene_dir, enhance_dir, decode_dir, out_dir):
             break
         lo, hi = spans[t]
         attended = rec["attended"]
-        ref = metrics.FwssnrReference(references[attended, lo:hi], cfg.metrics, fs)
+        ref = metrics.FwssnrReference(references[attended, lo:hi], fs)
         input_db = max(ref.score(mic[lo:hi]) for mic in mics)
         scores = [ref.score(enhanced[i][lo:hi]) for i in range(n_speakers)]
         selected = rec["selected"]

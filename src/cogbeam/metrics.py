@@ -1,25 +1,23 @@
 """Frequency-weighted segmental SNR and decoding-accuracy measures.
 
 The segmental SNR variant here frames both signals, measures per-band SNR of
-the residual (test minus reference) against the reference in critical-style
+the residual (test minus reference) against the reference in mel-spaced
 bands, clamps each band SNR, and averages with reference-magnitude weights
-over speech-active frames. All comparisons inside this package use the same
-variant, so relative numbers are self-consistent.
+over speech-active frames. Its parameters are fixed (the constants below),
+so every comparison inside this package uses the same variant, as
+fwSegSNR (Hu & Loizou, IEEE TASLP 16(1), 2008) does.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from ._schema import bound, check
 from .stft import _frame_blocks
 
 __all__ = [
-    "FwssnrConfig",
     "FwssnrReference",
     "input_fwssnr",
     "DecodeOutcome",
@@ -35,24 +33,22 @@ __all__ = [
 PUBLISHED_CHANCE_BOUND_PCT = {40: 61.39, 20: 66.19}
 
 
-@dataclass(frozen=True)
-class FwssnrConfig:
-    frame_ms: float = bound(32.0, gt=0)
-    overlap: float = bound(0.75, ge=0, lt=1)  # at 1 every sample would start a frame
-    n_bands: int = bound(25, ge=1, le=1024)  # load_config builds a band matrix row per band
-    band_range_hz: tuple[float, float | None] = (50.0, None)  # None = Nyquist
-    clamp_db: tuple[float, float] = (-10.0, 35.0)
-    weight_exponent: float = 0.2
-    active_range_db: float = 35.0  # frames this far below the peak are skipped
+# The fwSSNR variant: 32 ms Hann frames at 75 % overlap, 25 mel bands from
+# 50 Hz to Nyquist, band SNRs clamped to [-10, 35] dB, frame weights of the
+# reference band magnitude ** 0.2, and frames more than 35 dB below the
+# loudest reference frame skipped.
+_FRAME_MS = 32.0
+_OVERLAP = 0.75
+_N_BANDS = 25
+_LOW_HZ = 50.0
+_CLAMP_DB = (-10.0, 35.0)
+_WEIGHT_EXPONENT = 0.2
+_ACTIVE_RANGE_DB = 35.0
 
-    def __post_init__(self):
-        check(self)
-        # above the upper edge, the lower one would leave every band empty
-        lo, hi = self.band_range_hz
-        if not 0 <= lo < (math.inf if hi is None else hi):
-            raise ValueError(f"band_range_hz must satisfy 0 <= lo < hi, got {[lo, hi]}")
-        if self.clamp_db[0] >= self.clamp_db[1]:
-            raise ValueError(f"clamp_db must satisfy lo < hi, got {list(self.clamp_db)}")
+
+def _frame_length(sample_rate):
+    """Samples in one fwSSNR frame at ``sample_rate``."""
+    return int(round(_FRAME_MS * 1e-3 * sample_rate))
 
 
 def _hz_to_mel(f):
@@ -64,15 +60,13 @@ def _mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def _band_matrix(cfg, n_fft, sample_rate):
+def _band_matrix(n_fft, sample_rate):
     """Triangular mel-spaced filters (n_bands, n_bins), unit peak; read-only,
-    built once per configuration, frame length and sample rate."""
-    lo = cfg.band_range_hz[0]
-    hi = cfg.band_range_hz[1] if cfg.band_range_hz[1] is not None else sample_rate / 2
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(lo), _hz_to_mel(hi), cfg.n_bands + 2))
+    built once per frame length and sample rate."""
+    edges = _mel_to_hz(np.linspace(_hz_to_mel(_LOW_HZ), _hz_to_mel(sample_rate / 2), _N_BANDS + 2))
     bin_hz = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    fb = np.zeros((cfg.n_bands, bin_hz.size))
-    for j in range(cfg.n_bands):
+    fb = np.zeros((_N_BANDS, bin_hz.size))
+    for j in range(_N_BANDS):
         left, center, right = edges[j], edges[j + 1], edges[j + 2]
         rising = (bin_hz - left) / max(center - left, 1e-12)
         falling = (right - bin_hz) / max(right - center, 1e-12)
@@ -102,23 +96,22 @@ class FwssnrReference:
     one with no speech-active frame.
     """
 
-    def __init__(self, reference, cfg=FwssnrConfig(), sample_rate=16000):
+    def __init__(self, reference, sample_rate=16000):
         reference = np.asarray(reference, dtype=float)
         if not np.any(reference):
             raise ValueError("reference signal is silent")
         self.reference = reference
-        self.cfg = cfg
-        self.frame = int(round(cfg.frame_ms * 1e-3 * sample_rate))
-        self.hop = max(1, int(round(self.frame * (1.0 - cfg.overlap))))
-        self._fb_t = _band_matrix(cfg, self.frame, sample_rate).T
+        self.frame = _frame_length(sample_rate)
+        self.hop = max(1, int(round(self.frame * (1.0 - _OVERLAP))))
+        self._fb_t = _band_matrix(self.frame, sample_rate).T
         self.ref_band = self.band_power(reference)  # (frames, bands)
 
         frame_energy = self.ref_band.sum(axis=1)
         peak = frame_energy.max()
-        self.active = frame_energy > peak * 10.0 ** (-cfg.active_range_db / 10.0)
+        self.active = frame_energy > peak * 10.0 ** (-_ACTIVE_RANGE_DB / 10.0)
         if not np.any(self.active):
             raise ValueError("no speech-active frames in reference")
-        self.weights = self.ref_band ** (cfg.weight_exponent / 2.0)  # magnitude ** exponent
+        self.weights = self.ref_band ** (_WEIGHT_EXPONENT / 2.0)  # magnitude ** exponent
         self.w_sum = self.weights.sum(axis=1)
         self.w_sum[self.w_sum == 0] = 1.0
 
@@ -152,7 +145,7 @@ class FwssnrReference:
 
     def score_band_power(self, res_band):
         """fwSSNR in dB of a residual given by its band powers (frames, bands)."""
-        lo, hi = self.cfg.clamp_db
+        lo, hi = _CLAMP_DB
         with np.errstate(divide="ignore", invalid="ignore"):
             snr = 10.0 * np.log10(self.ref_band / res_band)
         snr = np.clip(np.nan_to_num(snr, nan=lo, posinf=np.inf), lo, hi)
@@ -167,13 +160,13 @@ class FwssnrReference:
         return self.score_band_power(self.band_power(test - self.reference))
 
 
-def input_fwssnr(rendered, speaker, cfg=FwssnrConfig(), sample_rate=16000, reference_mic=0):
+def input_fwssnr(rendered, speaker, reference_mic=0):
     """Best microphone fwSSNR for one speaker of a rendered scene.
 
     The reference is that speaker's anechoic component at ``reference_mic``;
     the score is the maximum over microphone signals.
     """
-    ref = FwssnrReference(rendered.anechoic[speaker, reference_mic], cfg, sample_rate)
+    ref = FwssnrReference(rendered.anechoic[speaker, reference_mic], rendered.sample_rate)
     return float(max(ref.score(mic) for mic in rendered.mics))
 
 

@@ -6,6 +6,7 @@ evaluation references need no re-simulation: ``mics == components.sum + noise``
 holds exactly because the sum is how ``mics`` is built.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,15 @@ class AcousticScene:
 class RenderedScene:
     """Microphone signals with their additive decomposition retained."""
 
-    mics: np.ndarray  # (M, N)
     components: np.ndarray  # (I, M, N) reverberant speaker images
     anechoic: np.ndarray  # (I, M, N) direct-path speaker images
     noise: np.ndarray  # (M, N)
     sample_rate: int = 16000
+
+    @functools.cached_property
+    def mics(self):
+        """(M, N) microphone signals, built from the parts on first use."""
+        return self.components.sum(axis=0) + self.noise
 
 
 def _frame_rms(signal, frame):
@@ -144,12 +149,13 @@ def shorten_pauses(signal, max_pause, sample_rate=16000):
 
 
 def render(scene):
-    """Convolve sources with their impulse responses and add the noise.
+    """Convolve sources with their impulse responses, keeping the noise apart.
 
     Full convolutions are trimmed to the longest common length across all
     components and the noise channel count must match the IR grid. The
     noise enters at gain 1, as a view of the scene's noise;
-    ``with_noise_gain`` scales it.
+    ``with_noise_gain`` scales it. ``RenderedScene.mics`` sums the parts
+    when it is first read.
     """
     n_src, n_mic = scene.n_sources, scene.n_mics
     shortest = min(len(scene.sources[i]) for i in range(n_src))
@@ -185,21 +191,13 @@ def render(scene):
         noise_part = noise[:, :n]
     else:
         noise_part = np.zeros((n_mic, n))
-    mics = components.sum(axis=0) + noise_part
-    return RenderedScene(mics, components, anechoic, noise_part, scene.sample_rate)
+    return RenderedScene(components, anechoic, noise_part, scene.sample_rate)
 
 
 def with_noise_gain(unit, gain):
     """The rendered scene ``unit`` with its noise scaled by ``gain``: the same
     bits as rendering its acoustic scene with the noise scaled by ``gain``."""
-    noise = gain * unit.noise
-    return RenderedScene(
-        unit.components.sum(axis=0) + noise,
-        unit.components,
-        unit.anechoic,
-        noise,
-        unit.sample_rate,
-    )
+    return RenderedScene(unit.components, unit.anechoic, gain * unit.noise, unit.sample_rate)
 
 
 # calibrate_noise_gain: the gain bracket it bisects, how close to the target
@@ -249,7 +247,7 @@ def calibrate_noise_gain(objective, target_fwssnr):
     )
 
 
-def _input_fwssnr_of_gain(unit, cfg, reference_mics):
+def _input_fwssnr_of_gain(unit, reference_mics):
     """The calibration objective: the mean over the speakers of their input
     fwSSNR, as a function of the noise gain applied to ``unit``, with speaker
     ``i`` referenced at microphone ``reference_mics[i]``. Its
@@ -270,7 +268,7 @@ def _input_fwssnr_of_gain(unit, cfg, reference_mics):
     if not np.any(unit.noise):
         raise ValueError("scene has no noise to calibrate")
     refs = [
-        metrics.FwssnrReference(unit.anechoic[i, reference_mics[i]], cfg, unit.sample_rate)
+        metrics.FwssnrReference(unit.anechoic[i, reference_mics[i]], unit.sample_rate)
         for i in range(unit.components.shape[0])
     ]
     framing = refs[0]  # every reference frames and bands alike

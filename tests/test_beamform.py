@@ -94,17 +94,15 @@ class TestWeightedCorrelations:
     def test_single_frame_unit_variance(self):
         rng = np.random.default_rng(2)
         row = random_vec(rng, 6)[None, :]
-        r_delay, p_cross, r_full = weighted_correlations(row, np.ones(1), 2)
+        r_full = weighted_correlations(row, np.ones(1))
         np.testing.assert_allclose(r_full, np.outer(row[0], row[0].conj()), atol=1e-15)
-        np.testing.assert_allclose(r_delay, r_full[2:, 2:], atol=0)
-        np.testing.assert_allclose(p_cross, r_full[2:, :2], atol=0)
 
     def test_variance_scaling_homogeneity(self):
         rng = np.random.default_rng(3)
         stacked = random_vec(rng, 40).reshape(8, 5)
         lam = rng.uniform(0.5, 2.0, 8)
-        _, _, base = weighted_correlations(stacked, lam, 2)
-        _, _, scaled = weighted_correlations(stacked, 2.0 * lam, 2)
+        base = weighted_correlations(stacked, lam)
+        scaled = weighted_correlations(stacked, 2.0 * lam)
         np.testing.assert_array_equal(scaled, base / 2.0)
 
     def test_matches_naive_double_loop(self):
@@ -112,7 +110,8 @@ class TestWeightedCorrelations:
         k, dim, m = 9, 6, 2
         stacked = random_vec(rng, k * dim).reshape(k, dim)
         lam = rng.uniform(0.1, 3.0, k)
-        r_delay, p_cross, r_full = weighted_correlations(stacked, lam, m)
+        r_full = weighted_correlations(stacked, lam)
+        r_delay, p_cross = r_full[m:, m:], r_full[m:, :m]
         naive = np.zeros((dim, dim), dtype=complex)
         for i in range(k):
             naive += np.outer(stacked[i], stacked[i].conj()) / lam[i]
@@ -516,8 +515,8 @@ class TestGramKeepsBits:
         old = old_hermitian_part(np.conjugate(scaled.swapaxes(-1, -2) @ stacked) / 70)
         buffer = np.full(stacked.size + 7, np.nan, dtype=complex)
         for new in (
-            weighted_correlations(stacked, lam, 3)[2],
-            weighted_correlations(stacked, lam, 3, buffer)[2],
+            weighted_correlations(stacked, lam),
+            weighted_correlations(stacked, lam, buffer),
             beamform._gram(stacked, 1.0 / lam, 70),
             beamform._gram(stacked, 1.0 / lam, 70, buffer),
         ):

@@ -2,6 +2,7 @@
 checked against the frozen full-fwSSNR bisection in ``calibration_oracle``,
 and the bisection itself on synthetic objectives."""
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,11 +12,20 @@ from hypothesis import strategies as st
 
 import calibration_oracle as oracle
 from cogbeam import metrics, scene
-from cogbeam.metrics import FwssnrConfig, FwssnrReference
+from cogbeam.metrics import FwssnrReference
 from cogbeam.scene import CalibrationError, calibrate_noise_gain, render, with_noise_gain
 
 FS = 16000
-CFG = FwssnrConfig()
+# the fixed fwSSNR variant of cogbeam.metrics, in the form the frozen oracle reads
+CFG = SimpleNamespace(
+    frame_ms=metrics._FRAME_MS,
+    overlap=metrics._OVERLAP,
+    n_bands=metrics._N_BANDS,
+    band_range_hz=(metrics._LOW_HZ, None),
+    clamp_db=metrics._CLAMP_DB,
+    weight_exponent=metrics._WEIGHT_EXPONENT,
+    active_range_db=metrics._ACTIVE_RANGE_DB,
+)
 
 
 def make_scene(n_sources=2, n_mics=3, t60=0.3, duration=2.0, seed=0):
@@ -58,7 +68,7 @@ CASES = {
 
 def every_speaker_objective(unit, cal_kw):
     mics = cal_kw.get("reference_mics") or [0] * unit.components.shape[0]
-    return scene._input_fwssnr_of_gain(unit, CFG, mics), mics
+    return scene._input_fwssnr_of_gain(unit, mics), mics
 
 
 def objective_of(unit, cal_kw):
@@ -113,7 +123,7 @@ class TestAgainstFrozenBisection:
         sc = make_scene(seed=8)
         sc.noise = None
         with pytest.raises(ValueError, match="no noise"):
-            scene._input_fwssnr_of_gain(render(sc), CFG, [0, 0])
+            scene._input_fwssnr_of_gain(render(sc), [0, 0])
 
     @pytest.mark.parametrize("gain", [1.0, 3.0, 0.7])
     def test_cancelling_residual_scores_upper_clamp(self, gain):
@@ -124,9 +134,9 @@ class TestAgainstFrozenBisection:
         unit = render(make_scene(seed=9, n_mics=2))
         residual = unit.components.sum(axis=0) - unit.anechoic[0, 0]
         cancelling = scene.RenderedScene(
-            unit.mics, unit.components, unit.anechoic, -residual / gain, unit.sample_rate
+            unit.components, unit.anechoic, -residual / gain, unit.sample_rate
         )
-        objective = scene._input_fwssnr_of_gain(cancelling, CFG, [0, 0])
+        objective = scene._input_fwssnr_of_gain(cancelling, [0, 0])
         assert objective.per_speaker(gain)[0] == CFG.clamp_db[1]
         assert oracle.achieved_fwssnr(cancelling, gain, 0, CFG, [0, 0]) == CFG.clamp_db[1]
         assert objective.per_speaker(0.5 * gain)[0] < CFG.clamp_db[1]
@@ -235,9 +245,9 @@ class TestBlockedObjective:
         # 6.5 s is 809 fwSSNR frames: blocks of 256, 256 and 297 frames
         sc = make_scene(n_sources=n_sources, n_mics=4, duration=6.5, seed=20 + n_sources)
         unit = render(sc)
-        objective = scene._input_fwssnr_of_gain(unit, CFG, reference_mics)
+        objective = scene._input_fwssnr_of_gain(unit, reference_mics)
         refs = [
-            FwssnrReference(unit.anechoic[i, mic], CFG, FS) for i, mic in enumerate(reference_mics)
+            FwssnrReference(unit.anechoic[i, mic], FS) for i, mic in enumerate(reference_mics)
         ]
         unblocked = [self.unblocked_terms(unit, i, reference_mics[i]) for i in range(n_sources)]
         for ref, (ref_band, _) in zip(refs, unblocked):
@@ -278,19 +288,19 @@ class TestFwssnrReference:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_score_bitwise_equals_fwssnr_and_frozen_oracle(self, seed):
         test, reference = self.signals(seed)
-        ref = FwssnrReference(reference, CFG, FS)
+        ref = FwssnrReference(reference, FS)
         score = ref.score(test)
         assert score == oracle.fwssnr(test, reference, CFG, FS)
 
     def test_input_fwssnr_bitwise_equals_frozen_oracle(self):
         r = with_noise_gain(render(make_scene(seed=13, n_sources=3, n_mics=3)), 0.3)
         for speaker, mic in [(0, 0), (1, 2), (2, 1)]:
-            got = metrics.input_fwssnr(r, speaker, CFG, FS, mic)
+            got = metrics.input_fwssnr(r, speaker, mic)
             assert got == oracle.input_fwssnr(r.mics, r.anechoic, speaker, CFG, FS, mic)
 
     def test_zero_residual_scores_upper_clamp(self):
         _, reference = self.signals(14)
-        assert FwssnrReference(reference, CFG, FS).score(reference) == CFG.clamp_db[1]
+        assert FwssnrReference(reference, FS).score(reference) == CFG.clamp_db[1]
 
     def test_reference_checks(self):
         with pytest.raises(ValueError, match="silent"):
@@ -300,7 +310,7 @@ class TestFwssnrReference:
             ref.score(np.ones(FS))
 
     def test_filterbank_built_once_and_read_only(self):
-        a = metrics._band_matrix(CFG, 512, FS)
-        assert metrics._band_matrix(FwssnrConfig(), 512, FS) is a
+        a = metrics._band_matrix(512, FS)
+        assert metrics._band_matrix(512, FS) is a
         assert not a.flags.writeable
         np.testing.assert_array_equal(a, oracle._band_matrix(CFG, 512, FS))

@@ -90,9 +90,12 @@ class TestConfig:
             cli.load_config(path)
 
     def test_unknown_top_level_key(self, tmp_path):
-        path = write_config(tmp_path, beamfomer={"iterations": 1})
-        with pytest.raises(cli.ConfigError, match="beamfomer"):
-            cli.load_config(path)
+        # a misspelt section, and the fwSSNR section the fixed measure replaced
+        for key, value in [("beamfomer", {"iterations": 1}), ("metrics", {"frame_ms": 32.0})]:
+            path = write_config(tmp_path, **{key: value})
+            message = rf"^unknown top-level config key\(s\) \['{key}'\]; allowed keys are "
+            with pytest.raises(cli.ConfigError, match=message):
+                cli.load_config(path)
 
     def test_section_validation_is_config_error(self, tmp_path):
         path = write_config(tmp_path, beamformer={"iterations": 0})
@@ -347,7 +350,7 @@ class TestSimulate:
         frames_per_signal = (rebuilt.noise.shape[1] - 512) // 128 + 1
         assert sum(framings) == 14 * frames_per_signal
         for i, mic in enumerate(meta["reference_mics"]):
-            want = metrics.input_fwssnr(rebuilt, i, cfg.metrics, cfg.sample_rate, mic)
+            want = metrics.input_fwssnr(rebuilt, i, mic)
             assert abs(meta["input_fwssnr_db"][i] - want) <= 1e-12
         assert meta["mean_input_fwssnr_db"] == float(np.mean(meta["input_fwssnr_db"]))
 
@@ -356,7 +359,7 @@ class TestSimulate:
         meta = cli.cmd_simulate(cfg, tmp_path / "scene")
         rebuilt = self.stored_scene(tmp_path / "scene")
         assert meta["input_fwssnr_db"] == [
-            metrics.input_fwssnr(rebuilt, i, cfg.metrics, cfg.sample_rate, mic)
+            metrics.input_fwssnr(rebuilt, i, mic)
             for i, mic in enumerate(meta["reference_mics"])
         ]
 
@@ -366,7 +369,7 @@ class TestSimulate:
         components = read_tensor(scene_dir / "components_reverberant.cbtf")
         noise = read_tensor(scene_dir / "noise.cbtf")
         anechoic = read_tensor(scene_dir / "components_anechoic.cbtf")
-        return scene.RenderedScene(components.sum(axis=0) + noise, components, anechoic, noise)
+        return scene.RenderedScene(components, anechoic, noise)
 
 
 class TestEnhance:
@@ -1042,7 +1045,6 @@ class TestConfigTypes:
             ("aad", "channels", 2.5, "2.5"),
             ("beamformer", "iterations", 1.5, "1.5"),
             ("stft", "hop", 32.0, "32.0"),
-            ("metrics", "n_bands", "25", '"25"'),
         ],
     )
     def test_int_fields_refuse_bools_and_non_integers(self, tmp_path, section, key, value, shown):
@@ -1062,7 +1064,6 @@ class TestConfigTypes:
             ("aad", "snr_db", float("nan"), "NaN"),
             ("aad", "ridge", float("inf"), "Infinity"),
             ("beamformer", "delta", None, "null"),
-            ("metrics", "weight_exponent", "0.2", '"0.2"'),
         ],
     )
     def test_float_fields_refuse_non_numbers(self, tmp_path, section, key, value, shown):
@@ -1094,85 +1095,20 @@ class TestConfigTypes:
         assert (cfg.scene.n_mics, cfg.aad.channels, cfg.beamformer.iterations) == (2, 3, 1)
 
     @pytest.mark.parametrize(
-        "metrics_cfg, message",
-        [
-            # every sample would start a frame: about 4 GB per framed spectrum of a 60 s scene
-            ({"overlap": 1.0}, r"overlap must be in \[0, 1\), got 1.0"),
-            ({"overlap": -0.5}, r"overlap must be in \[0, 1\), got -0.5"),
-            ({"frame_ms": 0}, r"frame_ms must be positive, got 0"),
-            ({"frame_ms": -32.0}, r"frame_ms must be positive, got -32.0"),
-        ],
-    )
-    def test_fwssnr_framing_refused_at_load(self, tmp_path, metrics_cfg, message):
-        path = write_config(tmp_path, metrics=metrics_cfg)
-        with pytest.raises(cli.ConfigError, match=r"section 'metrics': " + message):
-            cli.load_config(path)
-
-    def test_fwssnr_framing_bounds_are_the_library_s(self):
-        metrics.FwssnrConfig(overlap=0.0)
-        with pytest.raises(ValueError, match="overlap"):
-            metrics.FwssnrConfig(overlap=1.0)
-        with pytest.raises(ValueError, match="frame_ms"):
-            metrics.FwssnrConfig(frame_ms=0.0)
-
-    @pytest.mark.parametrize(
-        "metrics_cfg, message",
-        [
-            # each loaded; [9000, 100] gave the filterbank no nonzero weight
-            ({"band_range_hz": ["a", None]}, r"band_range_hz must be \[lo, hi\], two finite"),
-            ({"band_range_hz": [9000, 100]}, r"band_range_hz must satisfy 0 <= lo < hi"),
-            ({"band_range_hz": [50]}, r"band_range_hz must be \[lo, hi\], two finite"),
-            ({"band_range_hz": [-50, None]}, r"band_range_hz must satisfy 0 <= lo < hi"),
-            ({"band_range_hz": [50, float("inf")]}, r"band_range_hz must be \[lo, hi\]"),
-            ({"clamp_db": [-10, float("nan")]}, r"clamp_db must be \[lo, hi\], two finite"),
-            ({"clamp_db": [1, 2, 3]}, r"clamp_db must be \[lo, hi\], two finite"),
-            # raised a bare IndexError out of load_config
-            ({"clamp_db": [1]}, r"clamp_db must be \[lo, hi\], two finite"),
-            ({"clamp_db": [-10, None]}, r"clamp_db must be \[lo, hi\], two finite numbers, got"),
-            ({"clamp_db": [35, -10]}, r"clamp_db must satisfy lo < hi, got \[35, -10\]"),
-        ],
-    )
-    def test_fwssnr_pairs_refused_at_load(self, tmp_path, metrics_cfg, message):
-        path = write_config(tmp_path, metrics=metrics_cfg)
-        with pytest.raises(cli.ConfigError, match=r"section 'metrics': " + message):
-            cli.load_config(path)
-
-    @pytest.mark.parametrize(
-        "sample_rate, band, nyquist",
-        [
-            # [9000, null] loaded, then simulate found no speech-active frames
-            (16000, [9000, None], "8000"),
-            (16000, [8000, None], "8000"),
-            (16000, [50, 8001], "8000"),
-            (8000, [50, 6000], "4000"),
-        ],
-    )
-    def test_fwssnr_band_beyond_nyquist_refused(self, tmp_path, sample_rate, band, nyquist):
-        path = write_config(tmp_path, sample_rate=sample_rate, metrics={"band_range_hz": band})
-        message = rf"^metrics\.band_range_hz .* must lie within \[0, {nyquist}\] Hz$"
-        with pytest.raises(cli.ConfigError, match=message):
-            cli.load_config(path)
-
-    def test_fwssnr_pairs_kept(self, tmp_path):
-        path = write_config(tmp_path, metrics={"band_range_hz": [0, 8000], "clamp_db": [-5, 30]})
-        cfg = cli.load_config(path)
-        assert (cfg.metrics.band_range_hz, cfg.metrics.clamp_db) == ((0, 8000), (-5, 30))
-        cfg = cli.load_config(write_config(tmp_path, metrics={"band_range_hz": [100, None]}))
-        assert cfg.metrics.band_range_hz == (100, None)
-
-    @pytest.mark.parametrize(
         "overrides, key, samples, frame, frame_key",
         [
-            # on a 2 s scene with a 128/32 STFT, each loaded and then failed
-            # inside a stage: "signal length 32032 shorter than one frame
-            # (80000)" in simulate, "shorter than one frame" in enhance, and
-            # impulse responses longer than the sources in simulate
-            ({"metrics": {"frame_ms": 5000}}, "scene.duration_s 2", 32000, 80000, "metrics.frame_ms"),
+            # on a 2 s scene with a 128/32 STFT, each would fail in a stage
+            # without its check: FwssnrReference refuses a scene or a trial
+            # shorter than the 32 ms fwSSNR frame in simulate or evaluate,
+            # enhance a scene shorter than the STFT frame, and simulate the
+            # 0.005 s scene, shorter than its impulse responses
+            ({"scene": {"duration_s": 0.02, "t60_s": 0}}, "scene.duration_s 0.02", 320, 512,
+             "the fwSSNR measure"),
             ({"stft": {"frame_length": 100000}}, "scene.duration_s 2", 32000, 100000,
              "stft.frame_length"),
             ({"scene": {"duration_s": 0.005}}, "scene.duration_s 0.005", 80, 128, "stft.frame_length"),
-            ({"scene": {"duration_s": 6.0}, "metrics": {"frame_ms": 5000}}, "aad.trial_seconds 1.5",
-             24000, 80000, "metrics.frame_ms"),
+            ({"aad": {"rate": 16000, "lag_range_ms": [0, 0], "trial_seconds": 0.01}},
+             "aad.trial_seconds 0.01", 160, 512, "the fwSSNR measure"),
         ],
     )
     def test_scene_and_trials_shorter_than_a_frame_refused(
@@ -1189,54 +1125,28 @@ class TestConfigTypes:
         with pytest.raises(cli.ConfigError, match=message):
             cli.load_config(path)
 
+    def test_load_builds_no_band_matrix(self, tmp_path, monkeypatch):
+        # the frame checks built the fwSSNR band matrix at load, 293 MiB at 80 MHz
+        def no_band_matrix(*args):
+            raise AssertionError("load_config built the fwSSNR band matrix")
+
+        monkeypatch.setattr(metrics, "_band_matrix", no_band_matrix)
+        cfg = cli.load_config(write_config(tmp_path, sample_rate=80_000_000))
+        assert cfg.sample_rate == 80_000_000
+
     def test_scene_and_trials_one_frame_long_kept(self, tmp_path):
-        # 5120 samples each: the scene, a trial and a 320 ms fwSSNR frame
+        # 512 samples each: the scene, a trial and the 32 ms fwSSNR frame,
+        # with anechoic impulse responses shorter than the scene
         cfg = cli.load_config(
             write_config(
                 tmp_path,
-                scene={"duration_s": 0.32},
-                aad={"trial_seconds": 0.32},
-                metrics={"frame_ms": 320.0},
+                scene={"duration_s": 0.032, "t60_s": 0},
+                stft={"frame_length": 128, "hop": 32},
+                aad={"rate": 16000, "lag_range_ms": [0, 0], "trial_seconds": 0.032},
             )
         )
-        assert cfg.scene.duration_s == cfg.aad.trial_seconds == 0.32
-
-    @pytest.mark.parametrize(
-        "metrics_cfg, samples",
-        [
-            # on a 2 s scene with a 128/32 STFT, each loaded and then failed in
-            # simulate: "Invalid number of FFT data points (0)" for 0 samples,
-            # "no speech-active frames in reference" for 1 (no bin inside a
-            # band) and for 2 (an all-zero Hann window)
-            ({"frame_ms": 0.01}, 0),
-            ({"frame_ms": 0.0625}, 1),
-            ({"frame_ms": 0.125}, 2),
-            # bins at 0 and 5333 Hz, both outside the band range
-            ({"frame_ms": 0.1875, "band_range_hz": [50, 1000]}, 3),
-        ],
-    )
-    def test_fwssnr_frame_that_scores_no_bin_refused(self, tmp_path, metrics_cfg, samples):
-        path = write_config(
-            tmp_path,
-            scene={"duration_s": 2.0},
-            stft={"frame_length": 128, "hop": 32},
-            metrics=metrics_cfg,
-        )
-        message = (
-            rf"^metrics\.frame_ms {metrics_cfg['frame_ms']:g} gives a {samples}-sample "
-            "fwSSNR frame "
-        )
-        with pytest.raises(cli.ConfigError, match=message):
-            cli.load_config(path)
-
-    def test_three_sample_fwssnr_frame_kept(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            scene={"duration_s": 2.0},
-            stft={"frame_length": 128, "hop": 32},
-            metrics={"frame_ms": 0.1875},
-        )
-        assert cli.load_config(path).metrics.frame_ms == 0.1875
+        assert cfg.scene.duration_s == cfg.aad.trial_seconds == 0.032
+        assert metrics._frame_length(cfg.sample_rate) == 512
 
     @pytest.mark.parametrize(
         "duration, samples",
@@ -1253,7 +1163,7 @@ class TestConfigTypes:
         path = write_config(
             tmp_path,
             scene={"duration_s": duration, "t60_s": 0.5, "n_mics": 2},
-            aad={"trial_seconds": 0.3},
+            aad={"trial_seconds": 19 / 64},
         )
         message = (
             rf"^scene\.duration_s {duration:g} gives {samples} samples at sample_rate 16000, "
@@ -1306,7 +1216,8 @@ def _write_raw(path, overrides):
     return path
 
 
-# Each escaped load_config with a bare exception or loaded and failed in a stage.
+# Each escaped load_config with a bare exception, or loaded and then failed or
+# misscored in a stage.
 ESCAPES = [
     # OverflowError
     ({("aad", "lag_range_ms"): [0, OVERFLOW]},
@@ -1323,9 +1234,12 @@ ESCAPES = [
      r"^section 'beamformer': filter_length_bands must be a list of .* got \[\[0, null, 8\.5\]\]$"),
     # "expected non-negative integer" in simulate
     ({("seed",): -1}, r"^seed must be at least 0, got -1$"),
+    # decode cut trials of 18 EEG samples (0.28125 s) and evaluate scored
+    # trials of 0.2734375 s: on the 6 s test scene their trials 20 overlap by 43 %
+    ({("aad", "trial_seconds"): 17.5 / 64},
+     r"^section 'aad': trial_seconds 0\.2734375 gives 17\.5 samples at rate 64 Hz, not a whole "
+     r"number: make it a multiple of 1 / rate$"),
     # OverflowError: sample counts beyond the float range
-    ({("metrics", "frame_ms"): 1e308},
-     r"^metrics\.frame_ms 1e\+308 gives more samples at 16000 Hz than a float holds$"),
     ({("scene", "duration_s"): 1e308},
      r"^scene\.duration_s 1e\+308 gives more samples at 16000 Hz than a float holds$"),
     ({("scene", "t60_s"): 1e308},
@@ -1333,13 +1247,6 @@ ESCAPES = [
     ({("aad", "trial_seconds"): 1e308},
      r"^section 'aad': trial_seconds 1e\+308 gives more samples at 64 Hz than a float holds$"),
     ({("sample_rate",): 10**400}, r"^sample_rate must be in \(1000, 4294967295\], got 10{400}$"),
-    # ValueError out of numpy's linspace in the load-time band matrix
-    ({("metrics", "n_bands"): 10**400}, r"^section 'metrics': n_bands must be in \[1, 1024\], got "),
-    # a 1e10 ms frame asked numpy for an 8e10-bin band matrix before the scene
-    # length was compared with it
-    ({("metrics", "frame_ms"): 1e10},
-     r"^scene\.duration_s 6 gives 96000 samples at sample_rate 16000, shorter than the "
-     r"160000000000-sample frame of metrics\.frame_ms$"),
 ]
 
 # Values for any key: inside and outside the bounds, of each JSON type, and

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from cogbeam import metrics, scene
-from cogbeam.metrics import FwssnrConfig, FwssnrReference, chance_upper_bound
+from cogbeam.metrics import FwssnrReference, chance_upper_bound
 
 
 def stationary_reference(seed=0, seconds=4.0, rate=16000):
@@ -47,6 +47,15 @@ class TestFwssnr:
         with pytest.raises(ValueError, match="length mismatch"):
             FwssnrReference(ref).score(ref[:-1])
 
+    def test_lowest_sample_rate_scores(self):
+        # just above the 1000 Hz that load_config refuses: a 32-sample frame
+        # with bins 31.28 Hz apart, the third inside the 50 Hz - Nyquist bands
+        rate = 1001
+        bands = metrics._band_matrix(metrics._frame_length(rate), rate)
+        assert bands.shape == (25, 17) and bands.any()
+        x = stationary_reference(seed=8, rate=rate)
+        assert FwssnrReference(x, rate).score(x) == 35.0
+
     @pytest.mark.parametrize("n", [512, 513, 639, 640, 4000])
     def test_framing_matches_per_frame_slices(self, n):
         # Oracle: one explicit slice per frame; a trailing partial frame is dropped.
@@ -64,8 +73,7 @@ def tiny_rendered(seed, n_mics=3):
     anech = np.tile(stationary_reference(seed=seed), (2, n_mics, 1))[:, :, :n]
     comps = anech.copy()
     noise = 0.3 * rng.standard_normal((n_mics, n))
-    mics = comps.sum(axis=0) + noise
-    return scene.RenderedScene(mics, comps, anech, noise)
+    return scene.RenderedScene(comps, anech, noise)
 
 
 class TestInputFwssnr:

@@ -158,7 +158,7 @@ class TestRender:
 class TestCalibrateNoiseGain:
     @staticmethod
     def objective(sc):
-        return scene._input_fwssnr_of_gain(render(sc), metrics.FwssnrConfig(), [0, 0])
+        return scene._input_fwssnr_of_gain(render(sc), [0, 0])
 
     def test_self_consistent_at_half_db(self):
         sc = two_source_scene(seed=12, t60=0.0, duration=2.0)

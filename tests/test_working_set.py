@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cogbeam import metrics, scene, stft
+from cogbeam import scene, stft
 
 FS = 16000
 MiB = 1 << 20
@@ -30,7 +30,7 @@ def unit_scene(seconds, n_sources=2, n_mics=4):
     components = rng.standard_normal((n_sources, n_mics, n))
     anechoic = 0.5 * components
     noise = rng.standard_normal((n_mics, n))
-    return scene.RenderedScene(components.sum(axis=0) + noise, components, anechoic, noise, FS)
+    return scene.RenderedScene(components, anechoic, noise, FS)
 
 
 @pytest.mark.parametrize("channels", [1, 4])
@@ -49,7 +49,7 @@ def test_calibration_objective_working_set_is_flat_in_length():
     for seconds in (4, 16):
         unit = unit_scene(seconds)
         extra[seconds], objective = working_set(
-            lambda: scene._input_fwssnr_of_gain(unit, metrics.FwssnrConfig(), [0, 3])
+            lambda: scene._input_fwssnr_of_gain(unit, [0, 3])
         )
         assert np.isfinite(objective(0.5))
     assert abs(extra[16] - extra[4]) < MiB, extra
